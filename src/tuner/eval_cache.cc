@@ -102,28 +102,6 @@ void CacheKey::add_config(const mapreduce::ParamRegistry& registry,
   }
 }
 
-void CacheKey::add_config(const mapreduce::JobConfig& cfg) {
-  static_assert(sizeof(mapreduce::JobConfig) == 15 * sizeof(double),
-                "JobConfig changed: key every new field here");
-  mapreduce::JobConfig c = cfg;
-  mapreduce::clamp_constraints(c);
-  add(c.map_memory_mb);
-  add(c.reduce_memory_mb);
-  add(c.io_sort_mb);
-  add(c.sort_spill_percent);
-  add(c.shuffle_input_buffer_percent);
-  add(c.shuffle_merge_percent);
-  add(c.shuffle_memory_limit_percent);
-  add(c.merge_inmem_threshold);
-  add(c.reduce_input_buffer_percent);
-  add(c.map_cpu_vcores);
-  add(c.reduce_cpu_vcores);
-  add(c.io_sort_factor);
-  add(c.shuffle_parallelcopies);
-  add(c.map_output_compress);
-  add(c.dfs_replication);
-}
-
 namespace internal {
 
 void note_global(std::uint64_t hits, std::uint64_t misses,

@@ -1,13 +1,12 @@
 // Memoized candidate-evaluation cache for the tuning loops.
 //
-// Every searcher in the repo (the what-if optimizer's restart chains, the
-// GA's seeding/generation waves, the online tuner's cost scoring) re-scores
-// configurations it has already seen: parameter quantization and
-// clamp_constraints() collapse nearby samples onto the same point, and
-// restart chains revisit each other's territory. EvalCache<V> memoizes those
-// pure evaluations behind a canonical key so duplicates cost a hash lookup
-// instead of a model call — wall-clock changes, results never do, because a
-// hit returns exactly what the miss would have computed.
+// The GA's fitness waves and the online tuner's task-cost scoring re-score
+// inputs they have already seen: parameter quantization and
+// clamp_constraints() collapse distinct genomes onto the same JobConfig.
+// EvalCache<V> memoizes those pure evaluations behind a canonical key so
+// duplicates cost a hash lookup instead of a model call — wall-clock
+// changes, results never do, because a hit returns exactly what the miss
+// would have computed.
 //
 // Keys are built with CacheKey: the full quantized word sequence is stored
 // and compared on lookup (not just a digest), so a hash collision can never
@@ -82,22 +81,8 @@ class CacheKey {
   void add_config(const mapreduce::ParamRegistry& registry,
                   mapreduce::JobConfig cfg);
 
-  /// Same canonicalization, but append every JobConfig field directly in
-  /// declaration order — a superset of any registry's view, with no
-  /// per-parameter indirection. This is the hot-path form: the what-if
-  /// search builds ~6k keys per optimize call, and the registry walk was
-  /// a measurable fraction of a (closed-form, sub-microsecond) model call.
-  void add_config(const mapreduce::JobConfig& cfg);
-
   [[nodiscard]] std::uint64_t hash() const { return hash_; }
   [[nodiscard]] std::size_t size_words() const { return words_.size(); }
-
-  /// Reset to the empty key, keeping the word storage's capacity — lets a
-  /// reused (e.g. thread_local) key build allocation-free in steady state.
-  void clear() {
-    words_.clear();
-    hash_ = 14695981039346656037ULL;
-  }
 
   friend bool operator==(const CacheKey& a, const CacheKey& b) {
     return a.hash_ == b.hash_ && a.words_ == b.words_;
