@@ -229,13 +229,17 @@ void HostProfiler::write_json(std::ostream& os) {
   const std::int64_t now = raw_ticks();
   phase_ticks_[static_cast<int>(phase_)] += now - phase_start_ticks_;
   phase_start_ticks_ = now;
-  phase_rss_bytes_[static_cast<int>(phase_)] = current_rss_bytes();
+  // Current RSS first, and the peak never below it: ru_maxrss can trail
+  // the resident count /proc reports, and RSS may grow between two reads.
+  const std::int64_t rss_now = current_rss_bytes();
+  phase_rss_bytes_[static_cast<int>(phase_)] = rss_now;
 
   const double npt = ns_per_tick();
 
   std::lock_guard<std::mutex> lock(mu_);
-  memory_["rss_peak_bytes"] = static_cast<double>(peak_rss_bytes());
-  memory_["rss_current_bytes"] = static_cast<double>(current_rss_bytes());
+  memory_["rss_peak_bytes"] =
+      static_cast<double>(std::max(peak_rss_bytes(), rss_now));
+  memory_["rss_current_bytes"] = static_cast<double>(rss_now);
 
   os << "{\n  \"schema\": ";
   write_json_string(os, kHostProfileSchema);

@@ -167,8 +167,16 @@ TEST(HostProfiler, ExportCarriesMemoryAndMeta) {
   const std::string json = os.str();
   EXPECT_NE(json.find("\"engine.queue_bytes\": 4096"), std::string::npos);
   EXPECT_NE(json.find("\"nodes\": \"19\""), std::string::npos);
-  EXPECT_NE(json.find("\"rss_peak_bytes\""), std::string::npos);
-  EXPECT_NE(json.find("\"rss_current_bytes\""), std::string::npos);
+  const auto number_after = [&json](const std::string& key) {
+    const std::size_t at = json.find("\"" + key + "\": ");
+    EXPECT_NE(at, std::string::npos) << key;
+    return at == std::string::npos
+               ? -1.0
+               : std::stod(json.substr(at + key.size() + 4));
+  };
+  const double peak = number_after("rss_peak_bytes");
+  const double current = number_after("rss_current_bytes");
+  EXPECT_GE(peak, current);
   // All eight subsystem keys are always present, zeros included.
   for (const char* key :
        {"\"engine\"", "\"shared_server\"", "\"monitor\"", "\"dfs\"",

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace mron::sim {
 namespace {
@@ -118,6 +121,22 @@ TEST(Engine, CancelChurnKeepsMemoryBounded) {
   EXPECT_LE(eng.slot_capacity(), 128u);
 }
 
+TEST(Engine, CancelRescheduleChurnStaysMemoryBounded) {
+  // The reschedule pattern (cancel a timer, arm a later one) keeps ~1 live
+  // event through 100k cycles; the queue must stay below a small constant
+  // and the surviving event must still fire.
+  Engine eng;
+  EventId id = eng.schedule_at(1.0, [] {});
+  for (int i = 0; i < 100000; ++i) {
+    eng.cancel(id);
+    id = eng.schedule_at(1.0 + i * 1e-3, [] {});
+  }
+  EXPECT_LE(eng.queue_size(), 128u);
+  EXPECT_LE(eng.stale_entries(), eng.queue_size());
+  EXPECT_EQ(eng.pending(), 1u);
+  EXPECT_EQ(eng.run(), 1);
+}
+
 TEST(Engine, CancelChurnWithLiveEventsStaysProportional) {
   Engine eng;
   std::vector<EventId> live;
@@ -167,6 +186,126 @@ TEST(Engine, AcceptsMoveOnlyCaptures) {
   eng.schedule_at(1.0, [p = std::move(payload), &got] { got = *p + 1; });
   eng.run();
   EXPECT_EQ(got, 42);
+}
+
+// Randomized property test: one engine under a random schedule/cancel/
+// run_until script, checked against a plain model kept by the test. This is
+// what keeps compaction, tombstone collection and run_until slicing covered
+// under churn.
+struct Planned {
+  SimTime when;
+  bool daemon;
+  bool cancelled = false;
+  int fired = 0;
+};
+
+void run_churn_properties(std::uint64_t seed) {
+  Engine eng;
+  Rng rng(seed);
+  std::vector<Planned> plan;  // index = schedule order
+  std::vector<EventId> ids;
+  std::vector<std::size_t> stream;  // plan indices in dispatch order
+  std::size_t live = 0;
+  std::size_t daemons = 0;
+
+  // Settles the model for events fired since `from`, then compares every
+  // externally visible counter with it.
+  const auto settle = [&](std::size_t from) {
+    for (std::size_t i = from; i < stream.size(); ++i) {
+      --live;
+      if (plan[stream[i]].daemon) --daemons;
+    }
+    ASSERT_EQ(eng.pending(), live);
+    ASSERT_EQ(eng.empty(), live == 0);
+    ASSERT_EQ(eng.quiescent(), live == daemons);
+    ASSERT_EQ(eng.total_dispatched(),
+              static_cast<std::int64_t>(stream.size()));
+    // Every queue entry is a live event or a not-yet-collected tombstone.
+    ASSERT_EQ(eng.queue_size(), eng.pending() + eng.stale_entries());
+  };
+
+  for (int round = 0; round < 60; ++round) {
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    const int burst = static_cast<int>(rng.uniform_int(1, 50));
+    for (int i = 0; i < burst; ++i) {
+      double when = eng.now();
+      switch (rng.uniform_int(0, 3)) {
+        case 0: break;  // same-instant burst
+        case 1: when += rng.uniform(0.0, 5.0); break;     // dense
+        case 2: when += rng.uniform(0.0, 500.0); break;   // spread
+        default: when += 1e6 + rng.uniform(0.0, 1e6);     // far future
+      }
+      const bool daemon = rng.uniform_int(0, 9) == 0;
+      const std::size_t tag = plan.size();
+      plan.push_back({when, daemon});
+      auto cb = [&eng, &plan, &stream, tag] {
+        EXPECT_EQ(eng.now(), plan[tag].when);
+        ++plan[tag].fired;
+        stream.push_back(tag);
+      };
+      ids.push_back(daemon ? eng.schedule_daemon_at(when, cb)
+                           : eng.schedule_at(when, cb));
+      ++live;
+      if (daemon) ++daemons;
+    }
+    // Cancel a random slice, double cancels and cancels after firing
+    // included: those must be no-ops.
+    const auto cancels =
+        rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) / 2);
+    for (std::int64_t i = 0; i < cancels; ++i) {
+      const auto idx = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1));
+      Planned& p = plan[idx];
+      if (!p.cancelled && p.fired == 0) {
+        p.cancelled = true;
+        --live;
+        if (p.daemon) --daemons;
+      }
+      eng.cancel(ids[idx]);
+    }
+    ASSERT_NO_FATAL_FAILURE(settle(stream.size()));
+
+    const std::size_t before = stream.size();
+    // One slice in four is empty: it must still fire the events due now.
+    const SimTime until = rng.uniform_int(0, 3) == 0
+                              ? eng.now()
+                              : eng.now() + rng.uniform(0.0, 200.0);
+    const std::int64_t n = eng.run_until(until);
+    ASSERT_EQ(n, static_cast<std::int64_t>(stream.size() - before));
+    ASSERT_EQ(eng.now(), until);
+    ASSERT_NO_FATAL_FAILURE(settle(before));
+    // The slice drained everything due by `until` and nothing later.
+    for (std::size_t tag = 0; tag < plan.size(); ++tag) {
+      const Planned& p = plan[tag];
+      if (p.cancelled) continue;
+      ASSERT_EQ(p.fired == 1, p.when <= until) << "event " << tag;
+    }
+  }
+  const std::size_t before = stream.size();
+  const std::int64_t drained = eng.run();
+  EXPECT_EQ(drained, static_cast<std::int64_t>(stream.size() - before));
+  ASSERT_NO_FATAL_FAILURE(settle(before));
+  EXPECT_TRUE(eng.empty());
+
+  // The fired stream is ordered by (time, schedule order).
+  for (std::size_t i = 1; i < stream.size(); ++i) {
+    const Planned& a = plan[stream[i - 1]];
+    const Planned& b = plan[stream[i]];
+    ASSERT_TRUE(a.when < b.when ||
+                (a.when == b.when && stream[i - 1] < stream[i]))
+        << "dispatch " << i;
+  }
+  // No cancelled event fired; every other event fired exactly once.
+  for (std::size_t tag = 0; tag < plan.size(); ++tag) {
+    EXPECT_EQ(plan[tag].fired, plan[tag].cancelled ? 0 : 1) << "event " << tag;
+  }
+}
+
+TEST(Engine, RandomChurnKeepsDispatchContract) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    run_churn_properties(seed);
+  }
 }
 
 }  // namespace

@@ -494,6 +494,11 @@ def validate_profile(doc):
         for k in ("rss_peak_bytes", "rss_current_bytes"):
             if k not in memory:
                 errors.append(f"memory.{k}: missing")
+        peak = memory.get("rss_peak_bytes")
+        current = memory.get("rss_current_bytes")
+        if is_num(peak) and is_num(current) and peak < current:
+            errors.append(f"memory.rss_peak_bytes {peak} < "
+                          f"rss_current_bytes {current}")
 
     # The coverage rule: per-event attribution bills every inter-pop delta
     # to a subsystem, so subsystem time must nearly tile the steady wall.
@@ -537,7 +542,7 @@ def render_profile(doc, top_n=10):
     out.append("")
     out.append("subsystems (steady-state event dispatch):")
     out.append(f"  {'subsystem':<14} {'events':>12} {'total':>12} "
-               f"{'% steady':>9} {'ns/event':>9} {'max':>12}")
+               f"{'% steady':>9} {'ns/event':>9} {'max run':>12}")
     subs = doc["subsystems"]
     for name in sorted(SUBSYSTEM_KEYS,
                        key=lambda n: -subs[n]["total_ns"]):
