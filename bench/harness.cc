@@ -2,17 +2,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <utility>
 
-#include "cluster/cluster_spec.h"
-#include "common/check.h"
-#include "mapreduce/report_rollup.h"
-#include "obs/report.h"
+#include "common/flags.h"
+#include "mapreduce/run_options.h"
 #include "tuner/eval_cache.h"
 
 namespace mron::bench {
@@ -28,75 +23,14 @@ using workloads::Corpus;
 
 namespace {
 
-ObsOutputs g_obs;
-faults::FaultPlan g_fault_plan;
-cluster::ClusterSpec g_cluster;  // the 19-node testbed by default
-int g_jobs = 1;
-// Serializes artifact export when runs finish on several workers at once;
-// the files still describe one whole run (the last to finish).
-std::mutex g_obs_mu;
-// --report-out destination: unlike the last-writer-wins artifacts above,
-// the collector keeps the lexicographically greatest key so the exported
-// report is the same run at any --jobs value.
-obs::ReportCollector g_reports;
+// Parsed once by init_obs_from_flags(); every simulation the harness builds
+// runs under it (the 19-node testbed and a reliable cluster by default).
+mapreduce::RunOptions g_run;
+mapreduce::RunExporter g_export(g_run);
 
-/// Turn observation on for a simulation when any export path is configured,
-/// and thread the harness-wide fault plan through.
-void apply_obs(SimulationOptions& opt) {
-  opt.cluster = g_cluster;
-  opt.fault_plan = g_fault_plan;
-  if (!g_obs.any()) return;
-  opt.observe = true;
-  opt.trace_detail = g_obs.trace_detail;
-}
-
-/// Write the configured artifacts from a finished observed run.
-void export_obs(Simulation& sim) {
-  auto* rec = sim.recorder();
-  if (rec == nullptr) return;
-  std::lock_guard<std::mutex> lock(g_obs_mu);
-  if (!g_obs.metrics_out.empty()) {
-    std::ofstream out(g_obs.metrics_out);
-    MRON_CHECK_MSG(out.good(), "cannot open " << g_obs.metrics_out);
-    rec->metrics().write_json(out);
-  }
-  if (!g_obs.trace_out.empty()) {
-    std::ofstream out(g_obs.trace_out);
-    MRON_CHECK_MSG(out.good(), "cannot open " << g_obs.trace_out);
-    rec->trace().write_chrome_json(out);
-  }
-  if (!g_obs.audit_out.empty()) {
-    std::ofstream out(g_obs.audit_out);
-    MRON_CHECK_MSG(out.good(), "cannot open " << g_obs.audit_out);
-    rec->audit().write_jsonl(out);
-  }
-}
-
-/// Zero-padded so seeds order the same lexicographically and numerically
-/// inside a report key.
-std::string padded_seed(std::uint64_t seed) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%020llu",
-                static_cast<unsigned long long>(seed));
-  return buf;
-}
-
-/// Offer one finished run to the report collector. `phase` ranks runs that
-/// share a benchmark (e.g. a tuned run above its baseline); the winner is a
-/// pure function of the keys, never of worker completion order.
-void record_report(Simulation& sim, Benchmark b, Corpus c,
-                   const std::string& phase, std::uint64_t seed,
-                   std::vector<std::pair<const JobResult*, const JobConfig*>>
-                       report_jobs) {
-  if (g_obs.report_out.empty() || report_jobs.empty()) return;
-  const std::vector<std::pair<std::string, std::string>> meta = {
-      {"benchmark", workloads::benchmark_name(b)},
-      {"corpus", workloads::corpus_name(c)},
-      {"run_seed", padded_seed(seed)},
-  };
-  g_reports.offer(
-      mapreduce::run_report_key(phase, meta, *report_jobs.front().second),
-      mapreduce::run_report_json(sim, report_jobs, meta), g_obs.report_out);
+mapreduce::ReportMeta report_meta(Benchmark b, Corpus c) {
+  return {{"benchmark", workloads::benchmark_name(b)},
+          {"corpus", workloads::corpus_name(c)}};
 }
 
 JobSpec make_spec(Simulation& sim, Benchmark b, Corpus c,
@@ -149,85 +83,28 @@ RunStats average(const std::vector<RunStats>& all) {
 
 }  // namespace
 
-void set_obs_outputs(ObsOutputs outputs) { g_obs = std::move(outputs); }
-
-const ObsOutputs& obs_outputs() { return g_obs; }
-
-void set_fault_plan(faults::FaultPlan plan) {
-  g_fault_plan = std::move(plan);
-}
-
-const faults::FaultPlan& fault_plan() { return g_fault_plan; }
-
-void set_cluster_spec(cluster::ClusterSpec spec) {
-  g_cluster = std::move(spec);
-}
-
-const cluster::ClusterSpec& cluster_spec() { return g_cluster; }
-
-void set_jobs(int jobs) { g_jobs = jobs > 0 ? jobs : 1; }
-
-int jobs() { return g_jobs; }
+int jobs() { return g_run.jobs; }
 
 sim::ParallelRunner& runner() {
   // Lazily sized from the flags; lives for the whole bench process.
   static std::unique_ptr<sim::ParallelRunner> pool =
-      std::make_unique<sim::ParallelRunner>(g_jobs);
+      std::make_unique<sim::ParallelRunner>(g_run.jobs);
   return *pool;
 }
 
 void init_obs_from_flags(int argc, char** argv) {
-  ObsOutputs out;
-  auto value_of = [&](const char* flag, int& i) -> std::string {
-    const std::size_t len = std::strlen(flag);
-    if (std::strncmp(argv[i], flag, len) != 0) return {};
-    if (argv[i][len] == '=') return argv[i] + len + 1;
-    if (argv[i][len] == '\0' && i + 1 < argc) return argv[++i];
-    return {};
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace-detail") == 0) {
-      out.trace_detail = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--no-eval-cache") == 0) {
+  const Flags flags(argc, argv);
+  try {
+    g_run = mapreduce::parse_run_options(flags);
+    if (flags.get("no-eval-cache", false)) {
       tuner::set_eval_cache_enabled(false);
-      continue;
     }
-    std::string v;
-    if (!(v = value_of("--metrics-out", i)).empty()) {
-      out.metrics_out = v;
-    } else if (!(v = value_of("--trace-out", i)).empty()) {
-      out.trace_out = v;
-    } else if (!(v = value_of("--report-out", i)).empty()) {
-      out.report_out = v;
-    } else if (!(v = value_of("--jobs", i)).empty()) {
-      const int n = std::atoi(v.c_str());
-      if (n < 1) {
-        std::fprintf(stderr, "--jobs wants a positive integer, got %s\n",
-                     v.c_str());
-        std::exit(2);
-      }
-      set_jobs(n);
-    } else if (!(v = value_of("--audit-out", i)).empty()) {
-      out.audit_out = v;
-    } else if (!(v = value_of("--fault-plan", i)).empty()) {
-      set_fault_plan(faults::FaultPlan::load(v));
-    } else if (!(v = value_of("--fault-spec", i)).empty()) {
-      set_fault_plan(faults::FaultPlan::parse(v));
-    } else if (!(v = value_of("--cluster", i)).empty()) {
-      set_cluster_spec(cluster::load_cluster_spec(v));
-    } else {
-      std::fprintf(stderr,
-                   "unknown flag %s\nusage: %s [--jobs=N] [--metrics-out=F] "
-                   "[--trace-out=F] [--audit-out=F] [--report-out=F] "
-                   "[--trace-detail] [--no-eval-cache] [--fault-plan=F] "
-                   "[--fault-spec='directives'] [--cluster=SPEC]\n",
-                   argv[i], argv[0]);
-      std::exit(2);
-    }
+    flags.reject_unknown();
+  } catch (const FlagError& e) {
+    std::fprintf(stderr, "error: %s\nusage: %s%s [--no-eval-cache]\n",
+                 e.what(), argv[0], mapreduce::kRunFlagsUsage);
+    std::exit(2);
   }
-  set_obs_outputs(std::move(out));
 }
 
 RunStats run_plain(Benchmark b, Corpus c, const JobConfig& cfg,
@@ -235,13 +112,14 @@ RunStats run_plain(Benchmark b, Corpus c, const JobConfig& cfg,
                    int terasort_reduces) {
   SimulationOptions opt;
   opt.seed = seed;
-  apply_obs(opt);
+  g_run.apply(opt);
   Simulation sim(opt);
   JobSpec spec = make_spec(sim, b, c, terasort_bytes, terasort_reduces);
   spec.config = cfg;
   const JobResult result = sim.run_job(std::move(spec));
-  export_obs(sim);
-  record_report(sim, b, c, "plain", seed, {{&result, &cfg}});
+  g_export.write_artifacts(sim);
+  g_export.offer_report(sim, "plain", report_meta(b, c), seed,
+                        {{&result, &cfg}});
   return stats_from(result);
 }
 
@@ -261,7 +139,7 @@ TuneResult tune_aggressive(Benchmark b, Corpus c, std::uint64_t seed,
                            tuner::TunerOptions options) {
   SimulationOptions opt;
   opt.seed = seed;
-  apply_obs(opt);
+  g_run.apply(opt);
   Simulation sim(opt);
   JobSpec spec = make_spec(sim, b, c, terasort_bytes, terasort_reduces);
   options.strategy = tuner::TuningStrategy::Aggressive;
@@ -272,9 +150,10 @@ TuneResult tune_aggressive(Benchmark b, Corpus c, std::uint64_t seed,
   });
   online_tuner.attach(am);
   sim.run();
-  export_obs(sim);
+  g_export.write_artifacts(sim);
   const auto& out = online_tuner.outcome(am.id());
-  record_report(sim, b, c, "tuned", seed, {{&result, &out.best_config}});
+  g_export.offer_report(sim, "tuned", report_meta(b, c), seed,
+                        {{&result, &out.best_config}});
   return TuneResult{out.best_config, result.exec_time(), out.waves,
                     out.configs_tried};
 }
@@ -283,7 +162,7 @@ RunStats run_conservative(Benchmark b, Corpus c, std::uint64_t seed,
                           Bytes terasort_bytes, int terasort_reduces) {
   SimulationOptions opt;
   opt.seed = seed;
-  apply_obs(opt);
+  g_run.apply(opt);
   Simulation sim(opt);
   JobSpec spec = make_spec(sim, b, c, terasort_bytes, terasort_reduces);
   tuner::TunerOptions topt;
@@ -295,9 +174,10 @@ RunStats run_conservative(Benchmark b, Corpus c, std::uint64_t seed,
   });
   online_tuner.attach(am);
   sim.run();
-  export_obs(sim);
-  record_report(sim, b, c, "conservative", seed,
-                {{&result, &online_tuner.outcome(am.id()).best_config}});
+  g_export.write_artifacts(sim);
+  g_export.offer_report(
+      sim, "conservative", report_meta(b, c), seed,
+      {{&result, &online_tuner.outcome(am.id()).best_config}});
   return stats_from(result);
 }
 
@@ -316,7 +196,7 @@ RunStats run_conservative_averaged(Benchmark b, Corpus c,
 JobConfig offline_config(Benchmark b, Corpus c, Bytes terasort_bytes,
                          int terasort_reduces) {
   SimulationOptions opt;
-  opt.cluster = g_cluster;
+  opt.cluster = g_run.cluster;
   Simulation sim(opt);
   const JobSpec spec =
       make_spec(sim, b, c, terasort_bytes, terasort_reduces);
@@ -426,7 +306,7 @@ TenantRun run_tenants(const JobConfig& terasort_cfg, const JobConfig& bbp_cfg,
   SimulationOptions opt;
   opt.seed = seed;
   opt.fair_scheduler = true;
-  apply_obs(opt);
+  g_run.apply(opt);
   Simulation sim(opt);
   JobSpec terasort =
       workloads::make_terasort(sim, gibibytes(60), /*num_reduces=*/200);
@@ -441,9 +321,10 @@ TenantRun run_tenants(const JobConfig& terasort_cfg, const JobConfig& bbp_cfg,
   sim.submit_job(std::move(bbp),
                  [&](const JobResult& r) { bbp_result = r; });
   sim.run();
-  export_obs(sim);
-  record_report(sim, Benchmark::Terasort, Corpus::Synthetic, "tenants", seed,
-                {{&terasort_result, &terasort_cfg}, {&bbp_result, &bbp_cfg}});
+  g_export.write_artifacts(sim);
+  g_export.offer_report(
+      sim, "tenants", report_meta(Benchmark::Terasort, Corpus::Synthetic),
+      seed, {{&terasort_result, &terasort_cfg}, {&bbp_result, &bbp_cfg}});
   out.terasort = stats_from(terasort_result);
   out.bbp = stats_from(bbp_result);
   return out;
@@ -503,7 +384,7 @@ void print_preamble(const std::string& figure, const std::string& caption) {
   std::printf("%s — %s\n", figure.c_str(), caption.c_str());
   std::printf("(4 repetitions per point, means reported; simulated %d-node "
               "cluster)\n",
-              g_cluster.total_slaves() + 1);  // slaves + master
+              g_run.cluster.total_slaves() + 1);  // slaves + master
   std::printf("==============================================================\n");
 }
 

@@ -6,6 +6,12 @@
 // figures. Each bench binary regenerates one table or figure of the paper
 // as an ASCII table, with the paper's reported numbers alongside where
 // applicable.
+//
+// Every simulation the harness builds runs under the binary's run options
+// (cluster, fault plan, observation). With any --*-out export set, the
+// metrics/trace/audit files describe the last simulation to finish and
+// the run report the greatest-keyed run, so the report is byte-identical
+// at any --jobs.
 #pragma once
 
 #include <string>
@@ -13,7 +19,6 @@
 
 #include "baselines/offline_guide.h"
 #include "common/table.h"
-#include "faults/fault_plan.h"
 #include "mapreduce/simulation.h"
 #include "sim/parallel_runner.h"
 #include "tuner/online_tuner.h"
@@ -24,51 +29,19 @@ namespace mron::bench {
 /// Seeds for the paper's "repeat each experiment four times".
 inline std::vector<std::uint64_t> repeat_seeds() { return {101, 202, 303, 404}; }
 
-/// Flight-recorder export destinations for a bench binary. When any path is
-/// set, every simulation the harness builds runs with observation on, and
-/// the artifacts are rewritten after each run (so the files describe the
-/// last simulation of the binary).
-struct ObsOutputs {
-  std::string metrics_out;  ///< MetricsRegistry JSON
-  std::string trace_out;    ///< Chrome trace_event JSON (chrome://tracing)
-  std::string audit_out;    ///< tuner decision log, JSONL
-  std::string report_out;   ///< versioned run_report.json (obs/report.h)
-  bool trace_detail = false;  ///< per-phase spans + shuffle fetch spans
-  [[nodiscard]] bool any() const {
-    return !metrics_out.empty() || !trace_out.empty() ||
-           !audit_out.empty() || !report_out.empty();
-  }
-};
-void set_obs_outputs(ObsOutputs outputs);
-[[nodiscard]] const ObsOutputs& obs_outputs();
-
-/// Fault plan applied to every simulation the harness builds (benchmarks
-/// under failures, FAULTS.md). Empty (the default) keeps the cluster
-/// reliable. Set from --fault-plan=FILE / --fault-spec="directives".
-void set_fault_plan(faults::FaultPlan plan);
-[[nodiscard]] const faults::FaultPlan& fault_plan();
-
-/// Cluster every simulation the harness builds runs on. Defaults to the
-/// paper's 19-node testbed; set from --cluster=SPEC (a preset like
-/// "nodes:1024", an inline group spec, or a spec file — see
-/// cluster/cluster_spec.h for the grammar).
-void set_cluster_spec(cluster::ClusterSpec spec);
-[[nodiscard]] const cluster::ClusterSpec& cluster_spec();
+/// Parse the bench flags: the shared run flags (mapreduce/run_options.h:
+/// --jobs, the --*-out exports, --trace-detail, --fault-plan/--fault-spec,
+/// --cluster) plus --no-eval-cache. Every bench main calls this first.
+/// Unknown flags and malformed values print usage and exit(2).
+void init_obs_from_flags(int argc, char** argv);
 
 /// Worker-thread count for the experiment fan-out (repeat seeds, per-app
-/// figure rows, sweep points). 1 = fully serial on the calling thread.
-void set_jobs(int jobs);
+/// figure rows, sweep points), from --jobs. 1 = fully serial.
 [[nodiscard]] int jobs();
-/// The shared work-stealing pool, sized by set_jobs() at first use. Results
+/// The shared work-stealing pool, sized by --jobs at first use. Results
 /// are always delivered in task order, so output is identical at any jobs
 /// value.
 [[nodiscard]] sim::ParallelRunner& runner();
-
-/// Parse the shared bench flags (--jobs=N --metrics-out=F --trace-out=F
-/// --audit-out=F --trace-detail --fault-plan=F --fault-spec=S) and install
-/// them via set_obs_outputs() / set_jobs() / set_fault_plan(). Every bench
-/// main calls this first. Unknown flags print usage and exit(2).
-void init_obs_from_flags(int argc, char** argv);
 
 struct RunStats {
   double exec_secs = 0.0;

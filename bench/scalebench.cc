@@ -238,16 +238,17 @@ int run_profiled_point(const cluster::ClusterSpec& spec, double size_gb,
   return 0;
 }
 
-}  // namespace
+constexpr const char* kUsage =
+    "usage: scalebench [--out=BENCH_scale.json]"
+    " [--nodes=19,64,256,1024,4096,10240] [--size-gb=N]"
+    " [--reps=N] [--profile-out[=host_profile.json]]"
+    " [--progress]   (reps is clamped to >= 3: the gate reads"
+    " the median)\n";
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Flags flags(argc, argv);
   if (flags.get("help", false)) {
-    std::printf("usage: scalebench [--out=BENCH_scale.json]"
-                " [--nodes=19,64,256,1024,4096,10240] [--size-gb=N]"
-                " [--reps=N] [--profile-out[=host_profile.json]]"
-                " [--progress]   (reps is clamped to >= 3: the gate reads"
-                " the median)\n");
+    std::printf("%s", kUsage);
     return 0;
   }
   const std::string out_path =
@@ -263,9 +264,7 @@ int main(int argc, char** argv) {
     profile_out = flags.get("profile-out", std::string("host_profile.json"));
   }
   g_progress = flags.get("progress", false);
-  for (const auto& u : flags.unused()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", u.c_str());
-  }
+  flags.reject_unknown();
 
   std::printf("Terasort %.0f GB, median of %d runs per point\n\n", size_gb,
               reps);
@@ -295,4 +294,15 @@ int main(int argc, char** argv) {
     return run_profiled_point(spec_for(nodes.back()), size_gb, profile_out);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const FlagError& e) {
+    std::fprintf(stderr, "error: %s\n%s", e.what(), kUsage);
+    return 2;
+  }
 }

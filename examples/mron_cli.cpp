@@ -13,10 +13,16 @@
 //                 executions with the discovered configuration
 //   offline       the static offline tuning-guide configuration
 //
+// --jobs, --cluster, --fault-plan / --fault-spec, --trace-detail and the
+// --*-out exports are the run flags every driver shares
+// (mapreduce/run_options.h). An unknown flag or a malformed value
+// (--jobs=2.5, --runs=2x) prints usage and exits 2.
+//
 // Flight recorder: any of --metrics-out[=F] / --trace-out[=F] /
 // --audit-out[=F] turns observation on and writes the artifact after the
 // last simulation (defaults mron_metrics.json / mron_trace.json /
-// mron_audit.jsonl). --trace-detail adds per-phase and shuffle-fetch spans.
+// mron_audit.jsonl); under --strategy=aggressive the files describe the
+// test run. --trace-detail adds per-phase and shuffle-fetch spans.
 //
 // --report-out[=F] (default mron_report.json) writes the versioned run
 // report (obs/report.h): counter rollups + metric scalars + whole-run time
@@ -31,21 +37,14 @@
 // without it. --progress prints a wall-clock-throttled stderr heartbeat
 // (events/sec, sim-time, RSS) for long runs; it never touches any artifact.
 #include <cstdio>
-#include <fstream>
-#include <mutex>
+#include <cstdlib>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "baselines/offline_guide.h"
-#include "cluster/cluster_spec.h"
-#include "common/check.h"
 #include "common/flags.h"
 #include "common/log.h"
-#include "faults/fault_plan.h"
-#include "mapreduce/report_rollup.h"
+#include "mapreduce/run_options.h"
 #include "mapreduce/simulation.h"
-#include "obs/report.h"
 #include "sim/parallel_runner.h"
 #include "tuner/online_tuner.h"
 #include "workloads/benchmarks.h"
@@ -54,80 +53,34 @@ using namespace mron;
 
 namespace {
 
-/// Flight-recorder destinations (empty path = don't write). When any is
-/// set, every simulation runs observed; each finished run rewrites the
-/// files, so they describe the last simulation of the invocation.
-struct ObsConfig {
-  std::string metrics_out, trace_out, audit_out, report_out;
-  /// Host-profile destination. Deliberately excluded from any(): profiling
-  /// must not switch the flight recorder on (and must never perturb the
-  /// deterministic exports).
-  std::string profile_out;
-  bool trace_detail = false;
-  bool progress = false;
-  [[nodiscard]] bool any() const {
-    return !metrics_out.empty() || !trace_out.empty() ||
-           !audit_out.empty() || !report_out.empty();
-  }
-};
-ObsConfig g_obs;
-// --fault-plan / --fault-spec: applied to every simulation of the
-// invocation (test run and production runs alike). Empty = reliable
-// cluster.
-faults::FaultPlan g_fault_plan;
+// The run flags plus --profile-out / --progress, for every simulation of
+// the invocation: test run and production runs alike.
+mapreduce::RunOptions g_run;
+mapreduce::RunExporter g_export(g_run);
 // --speculative: LATE-style speculative execution on every job.
 bool g_speculative = false;
-// --cluster=SPEC: the simulated cluster for every run of the invocation.
-// Defaults to the paper's 19-node testbed (cluster/cluster_spec.h grammar).
-cluster::ClusterSpec g_cluster;
 // --dfs-replication / --dfs-policy: storage layout for every run.
 int g_dfs_replication = 3;
 std::string g_dfs_policy;
-// Runs may finish on several pool workers at once; exports stay whole-file.
-std::mutex g_obs_mu;
-// --report-out destination; keeps the greatest-keyed run, so the exported
-// report is a pure function of the flags, never of worker timing.
-obs::ReportCollector g_reports;
 
-void apply_obs(mapreduce::SimulationOptions& opt) {
-  opt.cluster = g_cluster;
-  opt.fault_plan = g_fault_plan;
+void apply_options(mapreduce::SimulationOptions& opt) {
+  g_run.apply(opt);
   opt.dfs_replication = g_dfs_replication;
   opt.dfs_policy = g_dfs_policy;
-  opt.host_profile = !g_obs.profile_out.empty();
-  opt.progress = g_obs.progress;
   opt.progress_label = "mron_cli";
-  if (!g_obs.any()) return;
-  opt.observe = true;
-  opt.trace_detail = g_obs.trace_detail;
 }
 
-void export_obs(mapreduce::Simulation& sim) {
-  auto* rec = sim.recorder();
-  if (rec == nullptr && sim.host_profiler() == nullptr) return;
-  std::lock_guard<std::mutex> lock(g_obs_mu);
-  auto write = [](const std::string& path, auto&& writer) {
-    if (path.empty()) return;
-    std::ofstream out(path);
-    MRON_CHECK_MSG(out.good(), "cannot open " << path);
-    writer(out);
-    std::fprintf(stderr, "wrote %s\n", path.c_str());
-  };
-  if (rec != nullptr) {
-    write(g_obs.metrics_out,
-          [&](std::ostream& o) { rec->metrics().write_json(o); });
-    if (!g_obs.trace_out.empty() && sim.host_profiler() != nullptr) {
-      // Optional host-time lane: only profiled traces carry it, so plain
-      // traces stay deterministic.
-      sim.host_profiler()->emit_trace_track(rec->trace());
-    }
-    write(g_obs.trace_out,
-          [&](std::ostream& o) { rec->trace().write_chrome_json(o); });
-    write(g_obs.audit_out,
-          [&](std::ostream& o) { rec->audit().write_jsonl(o); });
-  }
-  write(g_obs.profile_out,
-        [&](std::ostream& o) { sim.write_host_profile(o); });
+void print_usage(std::FILE* out) {
+  std::fprintf(out,
+               "usage: mron_cli --app=<terasort|wordcount|bigram|"
+               "invertedindex|textsearch|bbp> [--corpus=wikipedia|freebase]"
+               " [--size-gb=N] [--strategy=none|conservative|aggressive|"
+               "offline] [--seed=N] [--runs=N] [--fair] [--show-config]"
+               " [--log-level=trace|debug|info|warn|error]%s"
+               " [--profile-out[=F]] [--progress] [--no-eval-cache]"
+               " [--speculative] [--dfs-replication=N]"
+               " [--dfs-policy=rack-aware|same-rack|spread]\n",
+               mapreduce::kRunFlagsUsage);
 }
 
 struct AppChoice {
@@ -188,34 +141,14 @@ void print_config(const mapreduce::JobConfig& cfg) {
   }
 }
 
-/// Offer one finished run to the report collector. `phase` ranks runs of
-/// one invocation ("0" = aggressive test run, "1" = production), so the
-/// exported file describes the production run with the greatest seed.
-void record_report(
-    mapreduce::Simulation& sim, const std::string& phase,
-    const AppChoice& app, const std::string& strategy, std::uint64_t seed,
-    std::vector<std::pair<const mapreduce::JobResult*,
-                          const mapreduce::JobConfig*>> report_jobs) {
-  if (g_obs.report_out.empty() || report_jobs.empty()) return;
-  char seed_buf[32];
-  std::snprintf(seed_buf, sizeof(seed_buf), "%020llu",
-                static_cast<unsigned long long>(seed));
-  const std::vector<std::pair<std::string, std::string>> meta = {
-      {"app", workloads::benchmark_name(app.benchmark)},
-      {"corpus", workloads::corpus_name(app.corpus)},
-      {"strategy", strategy},
-      {"run_seed", seed_buf},
-  };
-  g_reports.offer(
-      mapreduce::run_report_key(phase, meta, *report_jobs.front().second),
-      mapreduce::run_report_json(sim, report_jobs, meta), g_obs.report_out);
-}
-
-/// One "wrote F" note once the collector has exported something.
-void note_report_written() {
-  if (!g_obs.report_out.empty() && !g_reports.empty()) {
-    std::fprintf(stderr, "wrote %s\n", g_obs.report_out.c_str());
-  }
+/// Report meta for a run; phases rank runs of one invocation ("0" =
+/// aggressive test run, "1" = production), so the exported file describes
+/// the production run with the greatest seed.
+mapreduce::ReportMeta report_meta(const AppChoice& app,
+                                  const std::string& strategy) {
+  return {{"app", workloads::benchmark_name(app.benchmark)},
+          {"corpus", workloads::corpus_name(app.corpus)},
+          {"strategy", strategy}};
 }
 
 mapreduce::JobResult run_once(const AppChoice& app, double size_gb,
@@ -225,7 +158,7 @@ mapreduce::JobResult run_once(const AppChoice& app, double size_gb,
   mapreduce::SimulationOptions opt;
   opt.seed = seed;
   opt.fair_scheduler = fair;
-  apply_obs(opt);
+  apply_options(opt);
   // A tuned dfs.replication (category I — settable only between runs)
   // flows into the production dataset's placement.
   opt.dfs_replication = static_cast<int>(cfg.dfs_replication);
@@ -233,8 +166,9 @@ mapreduce::JobResult run_once(const AppChoice& app, double size_gb,
   mapreduce::JobSpec spec = make_spec(sim, app, size_gb);
   spec.config = cfg;
   mapreduce::JobResult result = sim.run_job(std::move(spec));
-  export_obs(sim);
-  record_report(sim, /*phase=*/"1", app, strategy, seed, {{&result, &cfg}});
+  g_export.write_artifacts(sim);
+  g_export.offer_report(sim, /*phase=*/"1", report_meta(app, strategy), seed,
+                        {{&result, &cfg}});
   return result;
 }
 
@@ -243,19 +177,7 @@ mapreduce::JobResult run_once(const AppChoice& app, double size_gb,
 int run_cli(int argc, char** argv) {
   const Flags flags(argc, argv);
   if (flags.get("help", false)) {
-    std::printf("usage: mron_cli --app=<terasort|wordcount|bigram|"
-                "invertedindex|textsearch|bbp> [--corpus=wikipedia|freebase]"
-                " [--size-gb=N] [--strategy=none|conservative|aggressive|"
-                "offline] [--seed=N] [--runs=N] [--jobs=N] [--fair]"
-                " [--show-config]"
-                " [--log-level=trace|debug|info|warn|error]"
-                " [--metrics-out[=F]] [--trace-out[=F]] [--audit-out[=F]]"
-                " [--report-out[=F]] [--profile-out[=F]] [--progress]"
-                " [--trace-detail] [--no-eval-cache]"
-                " [--fault-plan=F] [--fault-spec='directives']"
-                " [--speculative] [--cluster=SPEC]"
-                " [--dfs-replication=N]"
-                " [--dfs-policy=rack-aware|same-rack|spread]\n");
+    print_usage(stdout);
     return 0;
   }
   if (flags.get("list", false)) {
@@ -277,12 +199,6 @@ int run_cli(int argc, char** argv) {
   const std::string strategy = flags.get("strategy", std::string("none"));
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", 1));
   const int runs = flags.get("runs", 1);
-  const int jobs = flags.get("jobs", 1);
-  if (jobs < 1) {
-    std::fprintf(stderr, "--jobs wants a positive integer\n");
-    return 2;
-  }
-  mron::sim::ParallelRunner pool(jobs);
   const bool fair = flags.get("fair", false);
   const bool show_config = flags.get("show-config", false);
   const std::string log_level = flags.get("log-level", std::string(""));
@@ -294,47 +210,16 @@ int run_cli(int argc, char** argv) {
     }
     Logger::instance().set_level(level);
   }
-  if (flags.has("metrics-out")) {
-    g_obs.metrics_out =
-        flags.get("metrics-out", std::string("mron_metrics.json"));
-  }
-  if (flags.has("trace-out")) {
-    g_obs.trace_out = flags.get("trace-out", std::string("mron_trace.json"));
-  }
-  if (flags.has("audit-out")) {
-    g_obs.audit_out =
-        flags.get("audit-out", std::string("mron_audit.jsonl"));
-  }
-  if (flags.has("report-out")) {
-    g_obs.report_out =
-        flags.get("report-out", std::string("mron_report.json"));
-  }
+  g_run = mapreduce::parse_run_options(flags);
   if (flags.has("profile-out")) {
-    g_obs.profile_out =
+    g_run.profile_out =
         flags.get("profile-out", std::string("host_profile.json"));
   }
-  g_obs.progress = flags.get("progress", false);
-  g_obs.trace_detail = flags.get("trace-detail", false);
+  g_run.progress = flags.get("progress", false);
   if (flags.get("no-eval-cache", false)) {
     tuner::set_eval_cache_enabled(false);
   }
-  const std::string fault_plan_path =
-      flags.get("fault-plan", std::string(""));
-  const std::string fault_spec = flags.get("fault-spec", std::string(""));
-  if (!fault_plan_path.empty() && !fault_spec.empty()) {
-    std::fprintf(stderr, "--fault-plan and --fault-spec are exclusive\n");
-    return 2;
-  }
-  if (!fault_plan_path.empty()) {
-    g_fault_plan = faults::FaultPlan::load(fault_plan_path);
-  } else if (!fault_spec.empty()) {
-    g_fault_plan = faults::FaultPlan::parse(fault_spec);
-  }
   g_speculative = flags.get("speculative", false);
-  const std::string cluster_spec = flags.get("cluster", std::string(""));
-  if (!cluster_spec.empty()) {
-    g_cluster = cluster::load_cluster_spec(cluster_spec);
-  }
   g_dfs_replication = flags.get("dfs-replication", 3);
   if (g_dfs_replication < 1) {
     std::fprintf(stderr, "--dfs-replication wants a positive integer\n");
@@ -346,15 +231,14 @@ int run_cli(int argc, char** argv) {
     std::fprintf(stderr, "unknown --dfs-policy=%s\n", g_dfs_policy.c_str());
     return 2;
   }
-  for (const auto& u : flags.unused()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", u.c_str());
-  }
+  flags.reject_unknown();
+  mron::sim::ParallelRunner pool(g_run.jobs);
 
   if (strategy == "none" || strategy == "offline") {
     mapreduce::JobConfig cfg;
     if (strategy == "offline") {
       mapreduce::SimulationOptions opt;
-      opt.cluster = g_cluster;
+      opt.cluster = g_run.cluster;
       mapreduce::Simulation sim(opt);
       const mapreduce::JobSpec spec = make_spec(sim, app, size_gb);
       const int maps = spec.input.valid()
@@ -374,7 +258,7 @@ int run_cli(int argc, char** argv) {
                           strategy);
         });
     for (const auto& r : results) print_result(strategy.c_str(), r);
-    note_report_written();
+    g_export.note_written();
     return 0;
   }
 
@@ -388,7 +272,7 @@ int run_cli(int argc, char** argv) {
           mapreduce::SimulationOptions opt;
           opt.seed = seed + static_cast<std::uint64_t>(i);
           opt.fair_scheduler = fair;
-          apply_obs(opt);
+          apply_options(opt);
           mapreduce::Simulation sim(opt);
           tuner::TunerOptions topt;
           topt.strategy = tuner::TuningStrategy::Conservative;
@@ -400,24 +284,25 @@ int run_cli(int argc, char** argv) {
                                     });
           online_tuner.attach(am);
           sim.run();
-          export_obs(sim);
+          g_export.write_artifacts(sim);
           out.best_config = online_tuner.outcome(am.id()).best_config;
-          record_report(sim, /*phase=*/"1", app, "conservative", opt.seed,
-                        {{&out.result, &out.best_config}});
+          g_export.offer_report(sim, /*phase=*/"1",
+                                report_meta(app, "conservative"), opt.seed,
+                                {{&out.result, &out.best_config}});
           return out;
         });
     for (const auto& run : results) {
       print_result("conservative", run.result);
       if (show_config) print_config(run.best_config);
     }
-    note_report_written();
+    g_export.note_written();
     return 0;
   }
 
   if (strategy == "aggressive") {
     mapreduce::SimulationOptions opt;
     opt.seed = seed;
-    apply_obs(opt);
+    apply_options(opt);
     mapreduce::Simulation sim(opt);
     tuner::OnlineTuner online_tuner{tuner::TunerOptions{}};
     mapreduce::JobResult test_result;
@@ -426,20 +311,20 @@ int run_cli(int argc, char** argv) {
         [&](const mapreduce::JobResult& r) { test_result = r; });
     online_tuner.attach(am);
     sim.run();
-    export_obs(sim);
+    g_export.write_artifacts(sim);
     const auto& out = online_tuner.outcome(am.id());
-    record_report(sim, /*phase=*/"0", app, "aggressive", seed,
-                  {{&test_result, &out.best_config}});
+    g_export.offer_report(sim, /*phase=*/"0", report_meta(app, "aggressive"),
+                          seed, {{&test_result, &out.best_config}});
     // The tuner's test run is the one worth inspecting — keep its artifacts
     // instead of letting the production runs below overwrite them. The run
     // report keeps flowing: phase "1" offers outrank the test run's, so it
     // ends up describing a production run (the Figure-7 comparison wants
     // tuned production vs default, not the gated test run).
-    const std::string report_out = g_obs.report_out;
-    const bool keep_progress = g_obs.progress;
-    g_obs = ObsConfig{};
-    g_obs.report_out = report_out;
-    g_obs.progress = keep_progress;
+    g_run.metrics_out.clear();
+    g_run.trace_out.clear();
+    g_run.audit_out.clear();
+    g_run.profile_out.clear();
+    g_run.trace_detail = false;
     std::printf("test run: %.1f s, %d waves, %d configurations\n",
                 test_result.exec_time(), out.waves, out.configs_tried);
     if (show_config) print_config(out.best_config);
@@ -450,7 +335,7 @@ int run_cli(int argc, char** argv) {
                           "aggressive");
         });
     for (const auto& r : results) print_result("aggressive", r);
-    note_report_written();
+    g_export.note_written();
     return 0;
   }
 
@@ -461,6 +346,10 @@ int run_cli(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     return run_cli(argc, argv);
+  } catch (const FlagError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    print_usage(stderr);
+    return 2;
   } catch (const std::exception& e) {
     // Bad export paths and the like surface as CheckError; a clean message
     // beats an abort for a command-line tool.

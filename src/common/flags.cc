@@ -1,6 +1,8 @@
 #include "common/flags.h"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 namespace mron {
 
@@ -46,21 +48,35 @@ std::string Flags::get(const std::string& name,
 
 double Flags::get(const std::string& name, double fallback) const {
   const auto v = raw(name);
-  if (!v.has_value() || v->empty()) return fallback;
+  if (!v.has_value()) return fallback;
   char* end = nullptr;
   const double parsed = std::strtod(v->c_str(), &end);
-  return end != v->c_str() ? parsed : fallback;
+  if (v->empty() || *end != '\0') {
+    throw FlagError("--" + name + " wants a number, got '" + *v + "'");
+  }
+  return parsed;
 }
 
 int Flags::get(const std::string& name, int fallback) const {
-  return static_cast<int>(get(name, static_cast<double>(fallback)));
+  const auto v = raw(name);
+  if (!v.has_value()) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(v->c_str(), &end, 10);
+  if (v->empty() || *end != '\0' || errno == ERANGE ||
+      parsed < std::numeric_limits<int>::min() ||
+      parsed > std::numeric_limits<int>::max()) {
+    throw FlagError("--" + name + " wants an integer, got '" + *v + "'");
+  }
+  return static_cast<int>(parsed);
 }
 
 bool Flags::get(const std::string& name, bool fallback) const {
   const auto v = raw(name);
   if (!v.has_value()) return fallback;
   if (v->empty() || *v == "1" || *v == "true" || *v == "yes") return true;
-  return false;
+  if (*v == "0" || *v == "false" || *v == "no") return false;
+  throw FlagError("--" + name + " is a switch, got '" + *v + "'");
 }
 
 std::vector<std::string> Flags::unused() const {
@@ -69,6 +85,13 @@ std::vector<std::string> Flags::unused() const {
     if (queried_.find(name) == queried_.end()) out.push_back(name);
   }
   return out;
+}
+
+void Flags::reject_unknown() const {
+  for (const auto& name : unused()) throw FlagError("unknown flag --" + name);
+  for (const auto& arg : positional_) {
+    throw FlagError("unexpected argument '" + arg + "'");
+  }
 }
 
 }  // namespace mron

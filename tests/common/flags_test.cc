@@ -45,9 +45,24 @@ TEST(Flags, Fallbacks) {
   EXPECT_DOUBLE_EQ(f.get("bad", 1.5), 1.5);
 }
 
-TEST(Flags, NonNumericFallsBack) {
-  const auto f = make({"--n=abc"});
-  EXPECT_EQ(f.get("n", 9), 9);
+TEST(Flags, MalformedNumbersRejected) {
+  // A value that does not parse completely is an error, never the fallback.
+  EXPECT_THROW((void)make({"--n=abc"}).get("n", 9), FlagError);
+  EXPECT_THROW((void)make({"--n=2x"}).get("n", 9), FlagError);
+  EXPECT_THROW((void)make({"--n=2.5"}).get("n", 9), FlagError);
+  EXPECT_THROW((void)make({"--n=99999999999"}).get("n", 9), FlagError);
+  EXPECT_THROW((void)make({"--n"}).get("n", 9), FlagError);
+  EXPECT_THROW((void)make({"--x=1.5gb"}).get("x", 1.0), FlagError);
+  EXPECT_THROW((void)make({"--x"}).get("x", 1.0), FlagError);
+  EXPECT_EQ(make({"--n=-3"}).get("n", 9), -3);
+  EXPECT_DOUBLE_EQ(make({"--x=2"}).get("x", 1.0), 2.0);
+}
+
+TEST(Flags, MalformedSwitchRejected) {
+  EXPECT_THROW((void)make({"--fair=maybe"}).get("fair", false), FlagError);
+  // `--switch word` reads the word as the switch's value.
+  EXPECT_THROW((void)make({"--fair", "fast"}).get("fair", false), FlagError);
+  EXPECT_FALSE(make({"--fair=no"}).get("fair", true));
 }
 
 TEST(Flags, PositionalCollected) {
@@ -63,6 +78,23 @@ TEST(Flags, UnusedDetectsTypos) {
   const auto unused = f.unused();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "strateegy");
+}
+
+TEST(Flags, RejectUnknownNamesTheFirstStranger) {
+  const auto f = make({"--app=wc", "--strateegy=none"});
+  (void)f.get("app", std::string(""));
+  try {
+    f.reject_unknown();
+    FAIL() << "unknown flag accepted";
+  } catch (const FlagError& e) {
+    EXPECT_STREQ(e.what(), "unknown flag --strateegy");
+  }
+  const auto g = make({"--app=wc", "stray"});
+  (void)g.get("app", std::string(""));
+  EXPECT_THROW(g.reject_unknown(), FlagError);
+  const auto h = make({"--app=wc"});
+  (void)h.get("app", std::string(""));
+  EXPECT_NO_THROW(h.reject_unknown());
 }
 
 TEST(Flags, HasMarksQueried) {
