@@ -2,9 +2,12 @@
 // and a CSV trace written next to the binary for external tooling.
 //
 //   ./build/examples/job_timeline [--gb=20] [--fail-node=3] [--csv=out.csv]
+//
+// An unknown flag or a malformed value prints usage and exits 2.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <string>
 
 #include "common/flags.h"
 #include "mapreduce/simulation.h"
@@ -14,13 +17,25 @@
 using namespace mron;
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
-  const double gb = flags.get("gb", 20.0);
-  const int fail_node = flags.get("fail-node", -1);
-  const std::string csv_path = flags.get("csv", std::string());
-
+  double gb = 20.0;
+  int fail_node = -1;
+  std::string csv_path;
   mapreduce::SimulationOptions opt;
-  opt.seed = static_cast<std::uint64_t>(flags.get("seed", 11));
+  try {
+    const Flags flags(argc, argv);
+    gb = flags.get("gb", gb);
+    fail_node = flags.get("fail-node", fail_node);
+    csv_path = flags.get("csv", csv_path);
+    opt.seed = static_cast<std::uint64_t>(flags.get("seed", 11));
+    flags.reject_unknown();
+  } catch (const FlagError& e) {
+    std::fprintf(stderr,
+                 "error: %s\nusage: job_timeline [--gb=N] [--fail-node=N] "
+                 "[--csv=F] [--seed=N]\n",
+                 e.what());
+    return 2;
+  }
+
   mapreduce::Simulation sim(opt);
   mapreduce::JobSpec spec = workloads::make_terasort(sim, gibibytes(gb));
   mapreduce::JobResult result;

@@ -135,18 +135,19 @@ void ClusterMonitor::sample() {
 }
 
 void ClusterMonitor::publish(SimTime now) {
-  // Publish the window into the flight recorder and snapshot every metric's
-  // scalar onto the sim-time axis. The monitor is the registry's sampling
-  // clock: all time series advance at its period. Beyond the node-series
-  // limit the per-entity handles are per *rack* (means over the rack's
-  // nodes), bounding recorder footprint on 1,000+-node clusters.
+  // Publish the window into the flight recorder: gauges for the latest
+  // sample, SeriesStore points for the whole-run timelines. The monitor is
+  // the recorder's sampling clock: every tick-driven series advances at its
+  // period. Beyond the node-series limit the per-entity handles are per
+  // *rack* (means over the rack's nodes), bounding recorder footprint on
+  // 1,000+-node clusters.
   auto* rec = engine_.recorder();
   if (rec == nullptr) return;
-  auto& reg = rec->metrics();
   const bool by_rack = rack_aggregated();
   const std::size_t entities =
       by_rack ? static_cast<std::size_t>(topo_->num_racks()) : nodes_.size();
   if (node_gauges_.empty()) {
+    auto& reg = rec->metrics();
     node_gauges_.resize(entities);
     for (std::size_t i = 0; i < entities; ++i) {
       const std::string prefix =
@@ -220,7 +221,6 @@ void ClusterMonitor::publish(SimTime now) {
   }
   samples_counter_->add(1.0);
   rec->flush();  // pull-model publishers (SharedServer gauges)
-  reg.sample(now);
 }
 
 const NodeSample& ClusterMonitor::latest(NodeId node) const {

@@ -41,11 +41,6 @@ Rereplicator::Rereplicator(sim::Engine& engine, Dfs& dfs,
 #endif
 }
 
-obs::Counter* Rereplicator::counter(const char* name) {
-  if (auto* rec = engine_.recorder()) return &rec->metrics().counter(name);
-  return nullptr;
-}
-
 void Rereplicator::on_node_lost(cluster::NodeId node) {
   // Idempotent cancellation: every copy the dead node was serving — as the
   // source being read or the target being written — is torn down; the
@@ -171,7 +166,7 @@ void Rereplicator::start_copy(DatasetId ds, std::int64_t block,
   ++node_streams_[static_cast<std::size_t>(dst.value())];
   copy_by_block_[c.block] = id;
   ++stats_.copies_started;
-  if (auto* ctr = counter("dfs.rerepl.started")) ctr->add(1.0);
+  counters_.started.add(engine_.recorder());
   // Three concurrent legs, each capped: read the block off the source
   // disk, stream it through the fabric (receiver NIC + rack uplink), and
   // write it to the destination disk. The copy lands when the slowest leg
@@ -203,8 +198,8 @@ void Rereplicator::finish_copy(std::int64_t copy_id) {
   --node_streams_[static_cast<std::size_t>(c.dst.value())];
   stats_.bytes_copied += c.bytes;
   ++stats_.copies_completed;
-  if (auto* ctr = counter("dfs.rerepl.completed")) ctr->add(1.0);
-  if (auto* ctr = counter("dfs.rerepl.bytes")) ctr->add(c.bytes);
+  counters_.completed.add(engine_.recorder());
+  counters_.bytes.add(engine_.recorder(), c.bytes);
   dfs_.add_replica(DatasetId(c.block.first),
                    static_cast<std::size_t>(c.block.second), c.dst);
   note_queue_state();
@@ -226,7 +221,7 @@ void Rereplicator::cancel_copy(std::int64_t copy_id) {
   nodes_[static_cast<std::size_t>(c.dst.value())]->disk().cancel(c.dst_disk);
   fabric_.cancel_transfer(c.net);
   ++stats_.copies_cancelled;
-  if (auto* ctr = counter("dfs.rerepl.cancelled")) ctr->add(1.0);
+  counters_.cancelled.add(engine_.recorder());
 }
 
 void Rereplicator::note_queue_state() {

@@ -30,11 +30,8 @@
 #include "cluster/fabric.h"
 #include "cluster/node.h"
 #include "dfs/dfs.h"
+#include "obs/recorder.h"
 #include "sim/engine.h"
-
-namespace mron::obs {
-class Counter;
-}  // namespace mron::obs
 
 namespace mron::dfs {
 
@@ -120,7 +117,6 @@ class Rereplicator {
   /// fired make this a no-op (idempotent).
   void cancel_copy(std::int64_t copy_id);
   void note_queue_state();
-  [[nodiscard]] obs::Counter* counter(const char* name);
 
   sim::Engine& engine_;
   Dfs& dfs_;
@@ -138,6 +134,12 @@ class Rereplicator {
   /// streams-per-node work limiter.
   std::vector<int> node_streams_;
   std::int64_t next_copy_id_ = 0;
+  struct {
+    obs::EventCounter started{"dfs.rerepl.started"};
+    obs::EventCounter completed{"dfs.rerepl.completed"};
+    obs::EventCounter bytes{"dfs.rerepl.bytes"};
+    obs::EventCounter cancelled{"dfs.rerepl.cancelled"};
+  } counters_;
 };
 
 }  // namespace mron::dfs

@@ -44,7 +44,7 @@ void FaultInjector::arm(yarn::ResourceManager& rm,
       ++stats_.degrade_windows;
       refresh_node_scales(d.node);
       if (auto* rec = engine_.recorder()) {
-        rec->metrics().counter("faults.degrade_windows").add(1.0);
+        counters_.degrade_windows.add(rec);
         rec->trace().instant("degrade_open", "fault", d.node, 0,
                              engine_.now());
       }
@@ -65,7 +65,7 @@ void FaultInjector::arm(yarn::ResourceManager& rm,
 void FaultInjector::on_crash(const CrashEvent& c) {
   ++stats_.crashes;
   if (auto* rec = engine_.recorder()) {
-    rec->metrics().counter("faults.crashes").add(1.0);
+    counters_.crashes.add(rec);
     rec->trace().instant("node_crash", "fault", c.node, 0, engine_.now());
   }
   audit_event("node_crash", -1, "node " + std::to_string(c.node));
@@ -75,7 +75,7 @@ void FaultInjector::on_crash(const CrashEvent& c) {
 void FaultInjector::on_restart(const CrashEvent& c) {
   ++stats_.restarts;
   if (auto* rec = engine_.recorder()) {
-    rec->metrics().counter("faults.restarts").add(1.0);
+    counters_.restarts.add(rec);
     rec->trace().instant("node_restart", "fault", c.node, 0, engine_.now());
   }
   audit_event("node_restart", -1, "node " + std::to_string(c.node));
@@ -136,12 +136,8 @@ bool FaultInjector::node_faulted_during(int node, SimTime from,
 void FaultInjector::record_injected_failure(std::int64_t job, int kind,
                                             int task_index, int attempt) {
   ++stats_.injected_task_failures;
-  if (auto* rec = engine_.recorder()) {
-    rec->metrics()
-        .counter(kind == 0 ? "faults.injected.map_failures"
-                           : "faults.injected.reduce_failures")
-        .add(1.0);
-  }
+  (kind == 0 ? counters_.map_failures : counters_.reduce_failures)
+      .add(engine_.recorder());
   audit_event("task_fault", job,
               std::string(kind == 0 ? "map " : "reduce ") +
                   std::to_string(task_index) + " attempt " +
@@ -151,9 +147,7 @@ void FaultInjector::record_injected_failure(std::int64_t job, int kind,
 void FaultInjector::record_fetch_failure(std::int64_t job, int reduce_index,
                                          int node) {
   ++stats_.fetch_failures;
-  if (auto* rec = engine_.recorder()) {
-    rec->metrics().counter("faults.fetch_failures").add(1.0);
-  }
+  counters_.fetch_failures.add(engine_.recorder());
   audit_event("fetch_failure", job,
               "reduce " + std::to_string(reduce_index) + " lost source node " +
                   std::to_string(node));
@@ -162,9 +156,7 @@ void FaultInjector::record_fetch_failure(std::int64_t job, int reduce_index,
 void FaultInjector::record_lost_map_reexecution(std::int64_t job,
                                                 int map_index, int node) {
   ++stats_.lost_map_reexecutions;
-  if (auto* rec = engine_.recorder()) {
-    rec->metrics().counter("faults.lost_map_reexecutions").add(1.0);
-  }
+  counters_.lost_map_reexecutions.add(engine_.recorder());
   audit_event("map_reexecution", job,
               "map " + std::to_string(map_index) + " output lost with node " +
                   std::to_string(node));

@@ -24,6 +24,7 @@
 
 #include "cluster/node.h"
 #include "faults/fault_plan.h"
+#include "obs/recorder.h"
 #include "sim/engine.h"
 #include "yarn/resource_manager.h"
 
@@ -92,6 +93,15 @@ class FaultInjector {
   yarn::ResourceManager* rm_ = nullptr;
   std::vector<cluster::Node*> nodes_;
   FaultStats stats_;
+  struct {
+    obs::EventCounter degrade_windows{"faults.degrade_windows"};
+    obs::EventCounter crashes{"faults.crashes"};
+    obs::EventCounter restarts{"faults.restarts"};
+    obs::EventCounter fetch_failures{"faults.fetch_failures"};
+    obs::EventCounter lost_map_reexecutions{"faults.lost_map_reexecutions"};
+    obs::EventCounter map_failures{"faults.injected.map_failures"};
+    obs::EventCounter reduce_failures{"faults.injected.reduce_failures"};
+  } counters_;
 };
 
 }  // namespace mron::faults

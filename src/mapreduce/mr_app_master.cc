@@ -342,9 +342,7 @@ void MrAppMaster::wait_for_input_block(int index) {
   // tuner from touching it meanwhile.
   m.requested = true;
   m.waiting_block = true;
-  if (auto* rec = engine_.recorder()) {
-    rec->metrics().counter("mr.map.block_waits").add(1.0);
-  }
+  counters_.block_waits.add(engine_.recorder());
   dfs_.wait_for_block(spec_.input, m.block, [this, index] {
     auto& mm = maps_[static_cast<std::size_t>(index)];
     if (!mm.waiting_block) return;
@@ -377,9 +375,7 @@ void MrAppMaster::on_map_container(int index, const yarn::Container& c) {
   auto& m = maps_[static_cast<std::size_t>(index)];
   if (!rm_.container_live(c.id)) {
     // The grant was dispatched just before its node died; ask again.
-    if (auto* rec = engine_.recorder()) {
-      rec->metrics().counter("yarn.stale_grants").add(1.0);
-    }
+    counters_.stale_grants.add(engine_.recorder());
     if (!m.done) request_map(index);
     return;
   }
@@ -441,9 +437,7 @@ void MrAppMaster::on_reduce_container(int index, const yarn::Container& c) {
   auto& r = reduces_[static_cast<std::size_t>(index)];
   if (!rm_.container_live(c.id)) {
     --running_reduces_or_requested_;
-    if (auto* rec = engine_.recorder()) {
-      rec->metrics().counter("yarn.stale_grants").add(1.0);
-    }
+    counters_.stale_grants.add(engine_.recorder());
     if (!r.done) request_reduce(index);
     return;
   }
@@ -528,10 +522,8 @@ void MrAppMaster::on_map_done(int index, const TaskReport& report,
         static_cast<int>(rep.node.value()), rep.start_time, rep.end_time);
   }
   if (rep.failed_oom) {
-    if (auto* rec = engine_.recorder()) {
-      rec->metrics().counter("mr.task.oom_kills").add(1.0);
-      rec->metrics().counter("mr.map.failed_attempts.oom").add(1.0);
-    }
+    counters_.oom_kills.add(engine_.recorder());
+    counters_.map_oom.add(engine_.recorder());
   }
   // A late duplicate (e.g. an OOM-retried original finishing after the
   // speculative copy already won) only needs its container back.
@@ -694,9 +686,7 @@ void MrAppMaster::on_speculative_container(int index,
   if (!rm_.container_live(c.id)) {
     // The grant raced its node's death; just drop this speculation (the
     // next scan may re-issue it).
-    if (auto* rec = engine_.recorder()) {
-      rec->metrics().counter("yarn.stale_grants").add(1.0);
-    }
+    counters_.stale_grants.add(engine_.recorder());
     --active_speculations_;
     m.spec_requested = false;
     return;
@@ -790,10 +780,8 @@ void MrAppMaster::on_reduce_done(int index, const TaskReport& report) {
   if (task_listener_) task_listener_(rep);
 
   if (rep.failed_oom) {
-    if (auto* rec = engine_.recorder()) {
-      rec->metrics().counter("mr.task.oom_kills").add(1.0);
-      rec->metrics().counter("mr.reduce.failed_attempts.oom").add(1.0);
-    }
+    counters_.oom_kills.add(engine_.recorder());
+    counters_.reduce_oom.add(engine_.recorder());
     ++result_.counters.failed_task_attempts;
     MRON_CHECK_MSG(r.attempts < spec_.max_task_attempts,
                    "reduce " << index << " exceeded max attempts");
@@ -932,7 +920,7 @@ void MrAppMaster::reexecute_lost_map(int map_index) {
         id_.value(), map_index, static_cast<int>(m.ran_on.value()));
   }
   if (auto* rec = engine_.recorder()) {
-    rec->metrics().counter("mr.map.lost_output_reexecutions").add(1.0);
+    counters_.lost_output_reexecutions.add(rec);
     // The lost output invalidates the old completion: re-root the task's
     // chain at a "map_lost" event so the re-execution (wait + rerun) is
     // charged to recovery, not to a second map_compute pass.
@@ -1049,9 +1037,7 @@ void MrAppMaster::fail_map_attempt(int index, int attempt) {
   ++result_.counters.failed_task_attempts;
   ++result_.injected_failures;
   injector_->record_injected_failure(id_.value(), 0, index, attempt);
-  if (auto* rec = engine_.recorder()) {
-    rec->metrics().counter("mr.map.failed_attempts.injected").add(1.0);
-  }
+  counters_.map_injected.add(engine_.recorder());
   // Recovery chain: the re-request after the backoff draws its wait edge
   // from this fail node, so the backoff itself lands in retry_recovery.
   m.cp_fail = cp_fail_node("map_fail", index, attempt, m.cp_start);
@@ -1089,9 +1075,7 @@ void MrAppMaster::fail_reduce_attempt(int index, int attempt) {
   ++result_.counters.failed_task_attempts;
   ++result_.injected_failures;
   injector_->record_injected_failure(id_.value(), 1, index, attempt);
-  if (auto* rec = engine_.recorder()) {
-    rec->metrics().counter("mr.reduce.failed_attempts.injected").add(1.0);
-  }
+  counters_.reduce_injected.add(engine_.recorder());
   r.cp_fail = cp_fail_node("reduce_fail", index, attempt, r.cp_start);
   // The stash is rebuilt at retry time — the set of completed maps may
   // change during the backoff.

@@ -32,6 +32,7 @@
 #include "mapreduce/job.h"
 #include "mapreduce/map_task.h"
 #include "mapreduce/reduce_task.h"
+#include "obs/recorder.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
 #include "yarn/resource_manager.h"
@@ -277,6 +278,17 @@ class MrAppMaster {
   /// name); resolved once in submit().
   obs::Histogram* map_secs_hist_ = nullptr;
   obs::Histogram* reduce_secs_hist_ = nullptr;
+  struct {
+    obs::EventCounter block_waits{"mr.map.block_waits"};
+    obs::EventCounter stale_grants{"yarn.stale_grants"};
+    obs::EventCounter oom_kills{"mr.task.oom_kills"};
+    obs::EventCounter map_oom{"mr.map.failed_attempts.oom"};
+    obs::EventCounter reduce_oom{"mr.reduce.failed_attempts.oom"};
+    obs::EventCounter lost_output_reexecutions{
+        "mr.map.lost_output_reexecutions"};
+    obs::EventCounter map_injected{"mr.map.failed_attempts.injected"};
+    obs::EventCounter reduce_injected{"mr.reduce.failed_attempts.injected"};
+  } counters_;
   bool submitted_ = false;
   bool finished_ = false;
   bool pump_scheduled_ = false;

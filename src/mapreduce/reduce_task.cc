@@ -185,7 +185,7 @@ void ReduceTask::on_fetch_failed(const PendingFetch& fetch,
                                  std::int64_t fetch_id) {
   --active_fetches_;
   if (auto* rec = engine_.recorder()) {
-    rec->metrics().counter("mr.shuffle.fetch_failures").add(1.0);
+    counters_.fetch_failures.add(rec);
     if (rec->trace().detail()) {
       rec->trace().async_end("shuffle_fetch", "fetch",
                              static_cast<int>(node_.id().value()), fetch_id,
@@ -224,8 +224,8 @@ void ReduceTask::on_fetch_done(const PendingFetch& fetch,
   total_input_ += bytes;
   report_.counters.shuffle_bytes += bytes;
   if (auto* rec = engine_.recorder()) {
-    rec->metrics().counter("mr.shuffle.fetches").add(1.0);
-    rec->metrics().counter("mr.shuffle.bytes").add(bytes.as_double());
+    counters_.fetches.add(rec);
+    counters_.fetch_bytes.add(rec, bytes.as_double());
     if (rec->trace().detail()) {
       rec->trace().async_end("shuffle_fetch", "fetch",
                              static_cast<int>(node_.id().value()), fetch_id,
@@ -309,14 +309,10 @@ void ReduceTask::phase_merge() {
 
   const MergeCost mid = plan_disk_merge(
       buffer_.disk_files(), static_cast<int>(config_.io_sort_factor));
-  if (auto* rec = engine_.recorder()) {
-    rec->metrics().counter("mr.reduce.spill_records")
-        .add(static_cast<double>(buffer_.spilled_records()));
-    if (mid.write > Bytes(0)) {
-      rec->metrics().counter("mr.reduce.merge_passes").add(1.0);
-    }
-  }
+  counters_.spill_records.add(
+      engine_.recorder(), static_cast<double>(buffer_.spilled_records()));
   if (mid.write > Bytes(0)) {
+    counters_.merge_passes.add(engine_.recorder());
     report_.counters.spilled_records += static_cast<std::int64_t>(
         std::llround(mid.write.as_double() / profile_.map_record_bytes));
     report_.counters.local_disk_write_bytes += mid.write;

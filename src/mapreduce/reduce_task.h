@@ -22,6 +22,7 @@
 #include "common/rng.h"
 #include "mapreduce/job.h"
 #include "mapreduce/spill_model.h"
+#include "obs/recorder.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
 
@@ -159,6 +160,13 @@ class ReduceTask {
   TaskReport report_;
   obs::SpanId phase_span_ = obs::kInvalidSpan;
   std::int64_t next_fetch_seq_ = 0;  ///< async-span id source for fetches
+  struct {
+    obs::EventCounter fetches{"mr.shuffle.fetches"};
+    obs::EventCounter fetch_bytes{"mr.shuffle.bytes"};
+    obs::EventCounter fetch_failures{"mr.shuffle.fetch_failures"};
+    obs::EventCounter spill_records{"mr.reduce.spill_records"};
+    obs::EventCounter merge_passes{"mr.reduce.merge_passes"};
+  } counters_;
 };
 
 /// Per-fetch connection/setup latency (seconds); hidden by parallelcopies.

@@ -226,14 +226,13 @@ void Simulation::run() {
   if (host_profiler_ != nullptr) {
     host_profiler_->begin_phase(obs::HostPhase::kTeardown);
   }
-  // One final sampling tick: the monitor's clock stops when the engine
-  // drains, so pull-model gauges and series would otherwise miss the state
-  // at completion (e.g. live_containers back at 0, wave fractions at 1).
+  // One final flush: the monitor's clock stops when the engine drains, so
+  // pull-model gauges and series would otherwise miss the state at
+  // completion (e.g. live_containers back at 0, wave fractions at 1).
   if (recorder_ != nullptr) {
     obs::HostProfiler::Activation hp(host_profiler_.get());
     HOST_PROF_SCOPE("sim.final_flush");
     recorder_->flush();
-    recorder_->metrics().sample(engine_.now());
     emit_critical_path_flows();
   }
 #endif

@@ -1,11 +1,12 @@
 // The flight recorder: one bundle of five of the six observability pillars
-// — metrics (scalars + change-only rings), sim-time trace spans, the tuner
-// decision audit log, run-long time series (bounded, 2x-downsampled
-// whole-run timelines — the paper-figure shapes), and the causal
-// critical-path DAG (blame attribution for end-to-end latency). The sixth
-// pillar — the host self-profiler (obs/host_profile.h) — lives outside the
-// bundle: its data is wall-clock nondeterministic, so it must never feed
-// the deterministic exports these five produce.
+// — metrics (counter/gauge scalars and histograms, no history), sim-time
+// trace spans, the tuner decision audit log, run-long time series (bounded,
+// 2x-downsampled whole-run timelines — the paper-figure shapes, and the
+// only time series the recorder keeps), and the causal critical-path DAG
+// (blame attribution for end-to-end latency). The sixth pillar — the host
+// self-profiler (obs/host_profile.h) — lives outside the bundle: its data
+// is wall-clock nondeterministic, so it must never feed the deterministic
+// exports these five produce.
 //
 // A Simulation constructed with observe=true owns a Recorder and hands a
 // pointer to its Engine; every instrumentation site reaches it through
@@ -62,6 +63,25 @@ class Recorder {
   SeriesStore series_;
   CriticalPathBuilder critical_path_;
   std::vector<std::function<void()>> flush_hooks_;
+};
+
+/// A counter bumped at a per-event site (a fetch, a grant, a fault) and
+/// resolved on first use: the name lookup runs once, and a counter whose
+/// event never fires is never registered, so it never shows up in the
+/// exports as a zero. add() is a no-op without a recorder. One instance
+/// serves one recorder.
+class EventCounter {
+ public:
+  explicit EventCounter(const char* name) : name_(name) {}
+  void add(Recorder* rec, double delta = 1.0) {
+    if (rec == nullptr) return;
+    if (counter_ == nullptr) counter_ = &rec->metrics().counter(name_);
+    counter_->add(delta);
+  }
+
+ private:
+  const char* name_;
+  Counter* counter_ = nullptr;
 };
 
 }  // namespace mron::obs

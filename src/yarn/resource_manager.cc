@@ -98,13 +98,10 @@ void ResourceManager::fail_node(cluster::NodeId node) {
     ++reclaimed;
     it = containers_.erase(it);
   }
-  if (auto* rec = engine_.recorder()) {
-    rec->metrics().counter("yarn.nodes_lost").add(1.0);
-    if (reclaimed > 0) {
-      rec->metrics()
-          .counter("yarn.containers_reclaimed")
-          .add(static_cast<double>(reclaimed));
-    }
+  counters_.nodes_lost.add(engine_.recorder());
+  if (reclaimed > 0) {
+    counters_.containers_reclaimed.add(engine_.recorder(),
+                                       static_cast<double>(reclaimed));
   }
   // Subscribers may release containers and issue fresh requests
   // re-entrantly; copy the list to stay iterator-safe.
@@ -142,9 +139,7 @@ void ResourceManager::heartbeat_tick() {
   for (const std::int64_t v : silent) {
     const auto i = static_cast<std::size_t>(v);
     if (!alive_[i]) continue;  // already declared lost
-    if (auto* rec = engine_.recorder()) {
-      rec->metrics().counter("yarn.heartbeats_missed").add(1.0);
-    }
+    counters_.heartbeats_missed.add(engine_.recorder());
     if (now - silent_since_[i] >= heartbeat_timeout_) {
       fail_node(cluster::NodeId(v));
     }
@@ -196,9 +191,7 @@ void ResourceManager::recover_node(cluster::NodeId node) {
   if (alive_[i]) return;  // transient blip, never declared lost
   alive_[i] = true;
   index_insert(this->node(node));  // back into the free index
-  if (auto* rec = engine_.recorder()) {
-    rec->metrics().counter("yarn.nodes_recovered").add(1.0);
-  }
+  counters_.nodes_recovered.add(engine_.recorder());
   // Same re-entrancy discipline as fail_node: subscribers (the DFS
   // restoring replicas, parked readers resuming) may schedule work.
   const auto subscribers = recovery_subscribers_;
@@ -446,9 +439,7 @@ bool ResourceManager::try_place(AppId app_id, AppState& app,
   target->allocate(req.resource.memory, req.resource.vcores);
   app.allocated_memory += req.resource.memory;
   ++live_containers_;
-  if (auto* rec = engine_.recorder()) {
-    rec->metrics().counter("yarn.containers_allocated").add(1.0);
-  }
+  counters_.containers_allocated.add(engine_.recorder());
   Container container;
   container.id = container_ids_.next();
   container.app = app_id;

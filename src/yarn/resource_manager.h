@@ -29,6 +29,7 @@
 #include "cluster/node.h"
 #include "cluster/topology.h"
 #include "obs/critical_path.h"
+#include "obs/recorder.h"
 #include "sim/engine.h"
 #include "yarn/resource.h"
 #include "yarn/scheduling_policy.h"
@@ -266,6 +267,13 @@ class ResourceManager {
   obs::Counter* alloc_rack_local_ = nullptr;
   obs::Counter* alloc_any_ = nullptr;
   obs::Counter* alloc_index_probes_ = nullptr;
+  struct {
+    obs::EventCounter heartbeats_missed{"yarn.heartbeats_missed"};
+    obs::EventCounter nodes_recovered{"yarn.nodes_recovered"};
+    obs::EventCounter containers_allocated{"yarn.containers_allocated"};
+    obs::EventCounter nodes_lost{"yarn.nodes_lost"};
+    obs::EventCounter containers_reclaimed{"yarn.containers_reclaimed"};
+  } counters_;
 };
 
 }  // namespace mron::yarn

@@ -24,3 +24,5 @@ foreach(bin ${CLI} ${BENCH})
 endforeach()
 expect_usage_error(${CLI} --runs=2x)
 expect_usage_error(${SCALEBENCH} --nodse=19,64)
+expect_usage_error(${TIMELINE} --gb=abc)
+expect_usage_error(${TIMELINE} --gbb=5)

@@ -66,9 +66,10 @@ TEST(FlightRecorder, PlainRunPublishesMetricsAndTaskSpans) {
   EXPECT_GT(m.value("yarn.containers_allocated"), 0.0);
   EXPECT_GT(m.value("mr.map.spills"), 0.0);
   EXPECT_GT(m.value("mr.shuffle.fetches"), 0.0);
-  const auto* series = m.series("monitor.samples");
-  ASSERT_NE(series, nullptr);
-  EXPECT_GT(series->size(), 0u);
+  // The monitor drives the whole-run timelines, which live in SeriesStore.
+  const auto* cpu = rec.series().find("cluster.node0.cpu_util");
+  ASSERT_NE(cpu, nullptr);
+  EXPECT_GT(cpu->size(), 0u);
 
   // Without trace detail there is exactly one span per task attempt;
   // speculative kills close their spans but file no report.

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "obs/recorder.h"
 
 namespace mron::obs {
 namespace {
@@ -50,17 +51,6 @@ TEST(Histogram, MergeAddsBucketwise) {
   EXPECT_EQ(a.bucket(2), 1);
 }
 
-TEST(TimeSeries, RingEvictsOldestFirst) {
-  TimeSeries ts(3);
-  for (int i = 0; i < 5; ++i) {
-    ts.push(static_cast<double>(i), static_cast<double>(i * 10));
-  }
-  EXPECT_EQ(ts.size(), 3u);
-  EXPECT_EQ(ts.dropped(), 2u);
-  EXPECT_DOUBLE_EQ(ts.at(0).time, 2.0);
-  EXPECT_DOUBLE_EQ(ts.at(2).value, 40.0);
-}
-
 TEST(MetricsRegistry, FindOrCreateReturnsStableHandles) {
   MetricsRegistry reg;
   Counter& c1 = reg.counter("jobs");
@@ -74,46 +64,21 @@ TEST(MetricsRegistry, FindOrCreateReturnsStableHandles) {
   EXPECT_DOUBLE_EQ(reg.value("nope"), 0.0);
 }
 
+TEST(EventCounter, RegistersOnFirstAddOnly) {
+  EventCounter fetches("fetches");
+  fetches.add(nullptr);  // no recorder: a no-op
+  Recorder rec;
+  EXPECT_FALSE(rec.metrics().has("fetches"));  // nothing until it fires
+  fetches.add(&rec);
+  fetches.add(&rec, 2.0);
+  EXPECT_DOUBLE_EQ(rec.metrics().value("fetches"), 3.0);
+  EXPECT_EQ(rec.metrics().size(), 1u);
+}
+
 TEST(MetricsRegistry, KindMismatchIsAnError) {
   MetricsRegistry reg;
   reg.counter("x");
   EXPECT_THROW(reg.gauge("x"), CheckError);
-}
-
-TEST(MetricsRegistry, SampleSnapshotsEveryMetric) {
-  MetricsRegistry reg;
-  reg.counter("c").add(2.0);
-  reg.gauge("g").set(7.0);
-  reg.sample(1.0);
-  reg.counter("c").add(1.0);
-  reg.sample(2.0);
-
-  const TimeSeries* cs = reg.series("c");
-  ASSERT_NE(cs, nullptr);
-  ASSERT_EQ(cs->size(), 2u);
-  EXPECT_DOUBLE_EQ(cs->at(0).value, 2.0);
-  EXPECT_DOUBLE_EQ(cs->at(1).value, 3.0);
-  EXPECT_DOUBLE_EQ(cs->at(1).time, 2.0);
-  const TimeSeries* gs = reg.series("g");
-  ASSERT_NE(gs, nullptr);
-  EXPECT_DOUBLE_EQ(gs->at(0).value, 7.0);
-  EXPECT_EQ(reg.series("missing"), nullptr);
-}
-
-TEST(MetricsRegistry, SampleSkipsUnchangedValues) {
-  MetricsRegistry reg;
-  reg.gauge("g").set(5.0);
-  reg.sample(1.0);
-  reg.sample(2.0);  // unchanged — no new point
-  reg.gauge("g").set(6.0);
-  reg.sample(3.0);
-
-  const TimeSeries* gs = reg.series("g");
-  ASSERT_NE(gs, nullptr);
-  ASSERT_EQ(gs->size(), 2u);
-  EXPECT_DOUBLE_EQ(gs->at(0).time, 1.0);
-  EXPECT_DOUBLE_EQ(gs->at(1).time, 3.0);
-  EXPECT_DOUBLE_EQ(gs->at(1).value, 6.0);
 }
 
 TEST(MetricsRegistry, MergeFoldsByKind) {
@@ -134,7 +99,6 @@ TEST(MetricsRegistry, WriteJsonIsWellFormed) {
   reg.counter("a.count").add(3.0);
   reg.gauge("b.level").set(0.25);
   reg.histogram("c.lat", {1.0, 2.0}).observe(1.5);
-  reg.sample(1.0);
   std::ostringstream os;
   reg.write_json(os);
   const std::string json = os.str();
@@ -142,6 +106,7 @@ TEST(MetricsRegistry, WriteJsonIsWellFormed) {
   EXPECT_NE(json.find("\"a.count\""), std::string::npos);
   EXPECT_NE(json.find("\"kind\":\"gauge\""), std::string::npos);
   EXPECT_NE(json.find("\"buckets\""), std::string::npos);
+  EXPECT_EQ(json.find("\"series\""), std::string::npos);  // scalars only
   // Balanced braces/brackets — cheap structural sanity (no strings in the
   // schema contain braces).
   int depth = 0;
