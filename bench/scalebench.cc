@@ -184,8 +184,7 @@ int write_json(const std::string& path, const std::vector<Point>& points) {
 
 /// One extra run at `spec` with the host profiler attached; writes the
 /// host-profile document to `path` and prints the per-phase / per-subsystem
-/// breakdown. Returns nonzero on I/O failure only (a MRON_OBS=OFF build
-/// warns and skips — the sweep's numbers above are still valid).
+/// breakdown. Returns nonzero on I/O failure only.
 int run_profiled_point(const cluster::ClusterSpec& spec, double size_gb,
                        const std::string& path) {
   mapreduce::SimulationOptions opt;
@@ -198,11 +197,6 @@ int run_profiled_point(const cluster::ClusterSpec& spec, double size_gb,
   mapreduce::Simulation sim(opt);
   auto job = workloads::make_terasort(sim, gibibytes(size_gb));
   sim.run_job(std::move(job));
-  if (sim.host_profiler() == nullptr) {
-    std::fprintf(stderr,
-                 "--profile-out skipped: built with MRON_OBS=OFF\n");
-    return 0;
-  }
   obs::HostProfiler& hp = *sim.host_profiler();
   hp.set_meta("source", "scalebench");
   char gb[32];

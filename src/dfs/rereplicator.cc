@@ -20,7 +20,6 @@ Rereplicator::Rereplicator(sim::Engine& engine, Dfs& dfs,
       node_streams_(nodes_.size(), 0) {
   MRON_CHECK(options_.max_streams_per_node >= 1);
   MRON_CHECK(options_.stream_bandwidth > 0.0);
-#if MRON_OBS_ENABLED
   if (auto* rec = engine_.recorder()) {
     auto* under_g = &rec->metrics().gauge("dfs.blocks.under_replicated");
     auto* streams_g = &rec->metrics().gauge("dfs.rerepl.streams");
@@ -38,7 +37,6 @@ Rereplicator::Rereplicator(sim::Engine& engine, Dfs& dfs,
           streams_s->push(now, streams);
         });
   }
-#endif
 }
 
 void Rereplicator::on_node_lost(cluster::NodeId node) {

@@ -158,13 +158,11 @@ void MapTask::phase_spill() {
   const MapSpillPlan plan = plan_map_spills(
       output_bytes_, output_records_, profile_.combiner_ratio, config_);
   if (auto* rec = engine_.recorder()) {
-    auto& reg = rec->metrics();
-    reg.counter("mr.map.spills").add(static_cast<double>(plan.num_spills));
-    reg.counter("mr.map.spill_records")
-        .add(static_cast<double>(plan.spill_records));
-    reg.counter("mr.map.spill_bytes").add(plan.disk_write_bytes.as_double());
-    reg.counter("mr.map.merge_rounds")
-        .add(static_cast<double>(plan.merge_rounds));
+    TaskEventCounters& c = *inputs_.counters;
+    c.map_spills.add(rec, static_cast<double>(plan.num_spills));
+    c.map_spill_records.add(rec, static_cast<double>(plan.spill_records));
+    c.map_spill_bytes.add(rec, plan.disk_write_bytes.as_double());
+    c.map_merge_rounds.add(rec, static_cast<double>(plan.merge_rounds));
     // Critical path: read+map ends here; the rest of the attempt is
     // sort/spill/merge. Speculative backups blame their whole compute on
     // the speculation decision that launched them.

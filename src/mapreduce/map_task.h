@@ -21,6 +21,7 @@
 #include "dfs/dfs.h"
 #include "mapreduce/job.h"
 #include "mapreduce/spill_model.h"
+#include "mapreduce/task_event_counters.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
 
@@ -48,6 +49,9 @@ class MapTask {
     std::int64_t cp_job = -1;
     std::int64_t cp_start = -1;
     bool cp_speculative = false;
+    /// The owning job's counter handles; required when the engine has a
+    /// recorder, and may stay null otherwise (unit tests).
+    TaskEventCounters* counters = nullptr;
   };
   /// Fired once, with the attempt's report (failed_oom set on OOM).
   using Done = std::function<void(const TaskReport&)>;

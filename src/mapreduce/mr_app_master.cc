@@ -399,6 +399,7 @@ void MrAppMaster::on_map_container(int index, const yarn::Container& c) {
   inputs.ws_factor = ws_factor_;
   inputs.noise_cv = spec_.noise_cv;
   inputs.trace_tid = c.id.value();
+  inputs.counters = &task_event_counters_;
   if (auto* cpb = cp()) {
     m.cp_start = cpb->stamped(id_.value(), "map_start", engine_.now(), index,
                               m.attempts, static_cast<int>(c.node.value()),
@@ -455,6 +456,7 @@ void MrAppMaster::on_reduce_container(int index, const yarn::Container& c) {
   inputs.ws_factor = ws_factor_;
   inputs.noise_cv = spec_.noise_cv;
   inputs.trace_tid = c.id.value();
+  inputs.counters = &task_event_counters_;
   if (auto* cpb = cp()) {
     r.cp_start = cpb->stamped(id_.value(), "reduce_start", engine_.now(),
                               index, r.attempts,
@@ -710,6 +712,7 @@ void MrAppMaster::on_speculative_container(int index,
   inputs.ws_factor = ws_factor_;
   inputs.noise_cv = spec_.noise_cv;
   inputs.trace_tid = c.id.value();
+  inputs.counters = &task_event_counters_;
   if (auto* cpb = cp()) {
     m.spec_cp_start = cpb->stamped(
         id_.value(), "map_start", engine_.now(), index, m.attempts + 1,

@@ -32,6 +32,7 @@
 #include "mapreduce/job.h"
 #include "mapreduce/map_task.h"
 #include "mapreduce/reduce_task.h"
+#include "mapreduce/task_event_counters.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
@@ -289,6 +290,8 @@ class MrAppMaster {
     obs::EventCounter map_injected{"mr.map.failed_attempts.injected"};
     obs::EventCounter reduce_injected{"mr.reduce.failed_attempts.injected"};
   } counters_;
+  /// Handed to every map and reduce attempt of this job.
+  TaskEventCounters task_event_counters_;
   bool submitted_ = false;
   bool finished_ = false;
   bool pump_scheduled_ = false;

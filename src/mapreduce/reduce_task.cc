@@ -185,7 +185,7 @@ void ReduceTask::on_fetch_failed(const PendingFetch& fetch,
                                  std::int64_t fetch_id) {
   --active_fetches_;
   if (auto* rec = engine_.recorder()) {
-    counters_.fetch_failures.add(rec);
+    inputs_.counters->fetch_failures.add(rec);
     if (rec->trace().detail()) {
       rec->trace().async_end("shuffle_fetch", "fetch",
                              static_cast<int>(node_.id().value()), fetch_id,
@@ -224,8 +224,8 @@ void ReduceTask::on_fetch_done(const PendingFetch& fetch,
   total_input_ += bytes;
   report_.counters.shuffle_bytes += bytes;
   if (auto* rec = engine_.recorder()) {
-    counters_.fetches.add(rec);
-    counters_.fetch_bytes.add(rec, bytes.as_double());
+    inputs_.counters->fetches.add(rec);
+    inputs_.counters->fetch_bytes.add(rec, bytes.as_double());
     if (rec->trace().detail()) {
       rec->trace().async_end("shuffle_fetch", "fetch",
                              static_cast<int>(node_.id().value()), fetch_id,
@@ -309,10 +309,13 @@ void ReduceTask::phase_merge() {
 
   const MergeCost mid = plan_disk_merge(
       buffer_.disk_files(), static_cast<int>(config_.io_sort_factor));
-  counters_.spill_records.add(
-      engine_.recorder(), static_cast<double>(buffer_.spilled_records()));
+  if (auto* rec = engine_.recorder()) {
+    TaskEventCounters& c = *inputs_.counters;
+    c.reduce_spill_records.add(
+        rec, static_cast<double>(buffer_.spilled_records()));
+    if (mid.write > Bytes(0)) c.reduce_merge_passes.add(rec);
+  }
   if (mid.write > Bytes(0)) {
-    counters_.merge_passes.add(engine_.recorder());
     report_.counters.spilled_records += static_cast<std::int64_t>(
         std::llround(mid.write.as_double() / profile_.map_record_bytes));
     report_.counters.local_disk_write_bytes += mid.write;

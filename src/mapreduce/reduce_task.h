@@ -22,7 +22,7 @@
 #include "common/rng.h"
 #include "mapreduce/job.h"
 #include "mapreduce/spill_model.h"
-#include "obs/recorder.h"
+#include "mapreduce/task_event_counters.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
 
@@ -46,6 +46,8 @@ class ReduceTask {
     /// (task.index, attempt), so the AM can address them without handles.
     std::int64_t cp_job = -1;
     std::int64_t cp_start = -1;
+    /// See MapTask::Inputs::counters.
+    TaskEventCounters* counters = nullptr;
   };
   using Done = std::function<void(const TaskReport&)>;
   /// Resolves a NodeId to the node (for charging source-disk reads).
@@ -160,13 +162,6 @@ class ReduceTask {
   TaskReport report_;
   obs::SpanId phase_span_ = obs::kInvalidSpan;
   std::int64_t next_fetch_seq_ = 0;  ///< async-span id source for fetches
-  struct {
-    obs::EventCounter fetches{"mr.shuffle.fetches"};
-    obs::EventCounter fetch_bytes{"mr.shuffle.bytes"};
-    obs::EventCounter fetch_failures{"mr.shuffle.fetch_failures"};
-    obs::EventCounter spill_records{"mr.reduce.spill_records"};
-    obs::EventCounter merge_passes{"mr.reduce.merge_passes"};
-  } counters_;
 };
 
 /// Per-fetch connection/setup latency (seconds); hidden by parallelcopies.

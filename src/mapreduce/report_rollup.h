@@ -28,7 +28,7 @@ obs::ReportJob report_job_from(const JobResult& result,
 /// Assemble a whole-run report: meta entries (in order), one ReportJob per
 /// (result, config) pair, serialized against the simulation's flight
 /// recorder (series/metrics/audit sections are empty when observation is
-/// off or compiled out). Returns the serialized JSON.
+/// off). Returns the serialized JSON.
 std::string run_report_json(
     const Simulation& sim,
     const std::vector<std::pair<const JobResult*, const JobConfig*>>& jobs,

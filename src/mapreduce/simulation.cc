@@ -9,7 +9,6 @@ namespace mron::mapreduce {
 
 Simulation::Simulation(SimulationOptions options)
     : options_(options), rng_(options.seed) {
-#if MRON_OBS_ENABLED
   if (options_.host_profile) {
     // Created before everything else so the Setup phase covers all of
     // construction; the engine stamps scheduled events with subsystem
@@ -24,7 +23,6 @@ Simulation::Simulation(SimulationOptions options)
     recorder_->trace().set_detail(options_.trace_detail);
     engine_.set_recorder(recorder_.get());
   }
-#endif
   if (options_.progress) {
     progress_ = std::make_unique<obs::ProgressMeter>(
         options_.progress_label.empty() ? "mron" : options_.progress_label);
@@ -210,15 +208,12 @@ std::vector<JobResult> Simulation::run_jobs(std::vector<JobSpec> specs) {
 }
 
 void Simulation::run() {
-#if MRON_OBS_ENABLED
   // Setup ends where the event loop begins. Re-entering run() later flips
   // Teardown back to Steady; both accumulate across runs.
   if (host_profiler_ != nullptr) {
     host_profiler_->begin_phase(obs::HostPhase::kSteady);
   }
-#endif
   engine_.run();
-#if MRON_OBS_ENABLED
   // The loop has drained: everything from here on (final flush, result
   // assembly, export prep) is teardown, so Steady measures exactly the
   // dispatch loop and the subsystem totals tile it — the coverage rule
@@ -235,12 +230,10 @@ void Simulation::run() {
     recorder_->flush();
     emit_critical_path_flows();
   }
-#endif
 }
 
 bool Simulation::write_host_profile(std::ostream& os) {
   if (host_profiler_ == nullptr) return false;
-#if MRON_OBS_ENABLED
   obs::HostProfiler& hp = *host_profiler_;
   // Arena byte counters: how much each long-lived structure holds, split
   // out from RSS (which the profiler snapshots itself).
@@ -259,13 +252,8 @@ bool Simulation::write_host_profile(std::ostream& os) {
   hp.set_meta("events", std::to_string(engine_.total_dispatched()));
   hp.write_json(os);
   return true;
-#else
-  (void)os;
-  return false;
-#endif
 }
 
-#if MRON_OBS_ENABLED
 void Simulation::emit_critical_path_flows() {
   // Chrome-trace flow arrows along each finished job's critical path, so
   // the trace viewer visually connects producers to consumers across
@@ -286,6 +274,5 @@ void Simulation::emit_critical_path_flows() {
     }
   }
 }
-#endif
 
 }  // namespace mron::mapreduce

@@ -52,8 +52,7 @@ struct SimulationOptions {
   /// Delay-scheduling passes for data locality (0 = off).
   int locality_delay_passes = 0;
   /// Attach the flight recorder (metrics + trace + audit) and start the
-  /// cluster monitor as its sampling clock. No-op when compiled out
-  /// (cmake -DMRON_OBS=OFF).
+  /// cluster monitor as its sampling clock.
   bool observe = false;
   /// Record phase-level spans and per-fetch async spans too. With detail
   /// off the trace holds exactly one span per task attempt plus one per
@@ -67,7 +66,7 @@ struct SimulationOptions {
   /// *simulator's* own wall-clock time and memory go, per subsystem and
   /// setup-vs-steady phase. Host time is nondeterministic, so the profile
   /// exports only through write_host_profile() — never into the run
-  /// report. No-op when compiled out (cmake -DMRON_OBS=OFF).
+  /// report.
   bool host_profile = false;
   /// Stderr progress heartbeat for long runs (events/sec + sim-time + RSS),
   /// wall-clock throttled. Never touches report output.
@@ -106,8 +105,7 @@ class Simulation {
   [[nodiscard]] cluster::ClusterMonitor& monitor() { return *monitor_; }
   [[nodiscard]] const cluster::Topology& topology() const { return *topo_; }
   [[nodiscard]] const SimulationOptions& options() const { return options_; }
-  /// The flight recorder, or nullptr unless options.observe (or when
-  /// observability is compiled out).
+  /// The flight recorder, or nullptr unless options.observe.
   [[nodiscard]] obs::Recorder* recorder() { return recorder_.get(); }
   [[nodiscard]] const obs::Recorder* recorder() const {
     return recorder_.get();
@@ -119,8 +117,7 @@ class Simulation {
   [[nodiscard]] const faults::FaultInjector* fault_injector() const {
     return injector_.get();
   }
-  /// The host self-profiler, or nullptr unless options.host_profile (or
-  /// when observability is compiled out).
+  /// The host self-profiler, or nullptr unless options.host_profile.
   [[nodiscard]] obs::HostProfiler* host_profiler() {
     return host_profiler_.get();
   }
@@ -130,8 +127,8 @@ class Simulation {
 
   /// Export the `mron.host_profile/1` document: registers the engine/
   /// recorder arena byte counters, then serializes the profiler. Returns
-  /// false (writing nothing) when profiling is off or compiled out. Host
-  /// time is nondeterministic — this never feeds run_report.json.
+  /// false (writing nothing) when profiling is off. Host time is
+  /// nondeterministic — this never feeds run_report.json.
   bool write_host_profile(std::ostream& os);
 
   /// Create + place a dataset in the simulated DFS. `replication`
@@ -155,11 +152,9 @@ class Simulation {
   void run();
 
  private:
-#if MRON_OBS_ENABLED
   /// After a drain: emit Chrome-trace flow arrows along the critical path
   /// of every newly finished job (see obs/critical_path.h).
   void emit_critical_path_flows();
-#endif
 
   SimulationOptions options_;
   sim::Engine engine_;
@@ -167,7 +162,7 @@ class Simulation {
   /// handles into the recorder, so it must outlive them.
   std::unique_ptr<obs::Recorder> recorder_;
   /// Host self-profiler; created first so Setup-phase frames cover all of
-  /// construction. Always null when MRON_OBS is compiled out.
+  /// construction. Null unless `host_profile` is set.
   std::unique_ptr<obs::HostProfiler> host_profiler_;
   std::unique_ptr<obs::ProgressMeter> progress_;
   Rng rng_;

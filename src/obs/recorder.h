@@ -10,9 +10,9 @@
 //
 // A Simulation constructed with observe=true owns a Recorder and hands a
 // pointer to its Engine; every instrumentation site reaches it through
-// `engine.recorder()` (nullptr when observation is off or compiled out, so
-// hooks cost one branch). The bundle is deliberately dumb — each pillar is
-// independently testable and exportable.
+// `engine.recorder()` (nullptr when observation is off, so hooks cost one
+// branch). The bundle is deliberately dumb — each pillar is independently
+// testable and exportable.
 #pragma once
 
 #include <functional>
@@ -21,7 +21,6 @@
 
 #include "obs/audit.h"
 #include "obs/critical_path.h"
-#include "obs/enabled.h"
 #include "obs/metrics.h"
 #include "obs/series.h"
 #include "obs/trace.h"

@@ -24,7 +24,6 @@
 #include "common/check.h"
 #include "common/strong_id.h"
 #include "common/units.h"
-#include "obs/enabled.h"
 #include "sim/callback.h"
 
 namespace mron::obs {
@@ -115,42 +114,19 @@ class Engine {
   /// Attach/detach the flight recorder. The engine does not own it; the
   /// Simulation (or test) that created the recorder keeps it alive for the
   /// engine's lifetime.
-  void set_recorder(obs::Recorder* rec) {
-#if MRON_OBS_ENABLED
-    recorder_ = rec;
-#else
-    (void)rec;
-#endif
-  }
-  /// The attached recorder, or nullptr when observation is off. With
-  /// MRON_OBS_ENABLED=0 this is a constant nullptr, so instrumentation sites
-  /// guarded by `if (auto* rec = engine.recorder())` compile away entirely.
-  [[nodiscard]] obs::Recorder* recorder() const {
-#if MRON_OBS_ENABLED
-    return recorder_;
-#else
-    return nullptr;
-#endif
-  }
+  void set_recorder(obs::Recorder* rec) { recorder_ = rec; }
+  /// The attached recorder, or nullptr when observation is off; every
+  /// instrumentation site is guarded by `if (auto* rec = engine.recorder())`.
+  [[nodiscard]] obs::Recorder* recorder() const { return recorder_; }
 
   /// Attach/detach the host self-profiler (obs/host_profile.h). When
   /// attached, every scheduled event is stamped with the subsystem category
   /// of its scheduling context and run() charges each event's inter-pop
-  /// wall delta to that category. Not owned; nullptr (and a constant
-  /// nullptr under MRON_OBS_ENABLED=0) means the unprofiled fast loop runs.
-  void set_host_profiler(obs::HostProfiler* prof) {
-#if MRON_OBS_ENABLED
-    host_profiler_ = prof;
-#else
-    (void)prof;
-#endif
-  }
+  /// wall delta to that category. Not owned; nullptr means the unprofiled
+  /// fast loop runs.
+  void set_host_profiler(obs::HostProfiler* prof) { host_profiler_ = prof; }
   [[nodiscard]] obs::HostProfiler* host_profiler() const {
-#if MRON_OBS_ENABLED
     return host_profiler_;
-#else
-    return nullptr;
-#endif
   }
 
   /// Byte sizes of the two engine arenas, for the host profiler's memory
@@ -209,20 +185,18 @@ class Engine {
   bool dispatch_next();
 
   /// Pops the next live event *without* running it: fills the callback and
-  /// (in MRON_OBS builds) its subsystem category, advances the clock and
+  /// its subsystem category, advances the clock and
   /// dispatch counters. Returns false when drained. Shared by dispatch_next
   /// and the profiled run loop, which must see the category before the
   /// callback fires.
   bool pop_next(Callback* cb, std::uint8_t* cat);
 
-#if MRON_OBS_ENABLED
   /// run() body when a host profiler is attached. Clock reads happen only
   /// at subsystem-category *transitions*: a contiguous run of same-category
   /// events is billed as one batch (count = run length, wall = boundary
   /// delta), so the per-subsystem totals still tile the loop's wall time by
   /// construction while the rdtsc cost amortizes across each run.
   std::int64_t run_profiled(std::int64_t max_events);
-#endif
 
   /// One progress-hook step, shared by the run loops.
   void progress_tick() {
@@ -246,10 +220,8 @@ class Engine {
   ProgressFn progress_fn_;
   std::int64_t progress_stride_ = 0;
   std::int64_t progress_left_ = 0;
-#if MRON_OBS_ENABLED
   obs::Recorder* recorder_ = nullptr;
   obs::HostProfiler* host_profiler_ = nullptr;
-#endif
 };
 
 }  // namespace mron::sim

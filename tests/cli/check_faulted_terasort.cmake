@@ -8,20 +8,7 @@
 #
 # The inline Python holds no semicolon: CMake would split the argument
 # there.
-function(run)
-  execute_process(
-    COMMAND ${ARGN}
-    WORKING_DIRECTORY ${WORKDIR}
-    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "'${ARGN}' exited ${rc}:\n${out}${err}")
-  endif()
-  message(STATUS "${out}")
-endfunction()
-
-function(same a b)
-  run(${CMAKE_COMMAND} -E compare_files ${a} ${b})
-endfunction()
+include(${CMAKE_CURRENT_LIST_DIR}/run_helpers.cmake)
 
 set(faulted --app=terasort --size-gb=4 --runs=1 --speculative
     --fault-plan=${PLANS}/faulted_terasort.plan)

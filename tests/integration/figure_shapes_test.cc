@@ -106,6 +106,56 @@ TEST(FigureShape, ConservativeTuningImprovesSingleRun) {
   EXPECT_LT(tuned, def * 0.95);  // paper band: 8-22%
 }
 
+// The flip side: an 8 GB terasort (64 maps, 16 reduces) runs in a single
+// wave, so conservative tuning has nothing to change. Every attempt
+// launches before the first config push (t = 30.3 s), every map has fixed
+// its spill plan by then, and the reduce push at 107.9 s lands after the
+// last shuffle. The six pushes reach only running attempts, and the run
+// ends identical to the default one, as `mron_cli --app=terasort
+// --size-gb=8 --strategy=conservative` shows.
+TEST(FigureShape, ConservativePushesChangeNothingInASingleWave) {
+  const JobResult def = run_terasort(JobConfig{}, 1, 8);
+  SimulationOptions opt;
+  opt.seed = 1;
+  opt.observe = true;
+  Simulation sim(opt);
+  tuner::TunerOptions topt;
+  topt.strategy = tuner::TuningStrategy::Conservative;
+  tuner::OnlineTuner tuner(topt);
+  JobResult tuned;
+  auto& am = sim.submit_job(workloads::make_terasort(sim, gibibytes(8)),
+                            [&](const JobResult& r) { tuned = r; });
+  tuner.attach(am);
+  constexpr double kBeforeFirstPush = 30.0;
+  sim.engine().run_until(kBeforeFirstPush);
+  auto& spill_records =
+      sim.recorder()->metrics().counter("mr.map.spill_records");
+  const double spilled_before_push = spill_records.value();
+  sim.run();
+
+  std::vector<double> pushes;
+  for (const auto& ev : sim.recorder()->audit().events()) {
+    if (ev.kind == "config_push") pushes.push_back(ev.time);
+  }
+  ASSERT_EQ(pushes.size(), 6u);
+  EXPECT_NEAR(pushes.front(), 30.3, 0.05);
+  EXPECT_NEAR(pushes.back(), 107.9, 0.05);
+
+  ASSERT_EQ(tuned.map_reports.size(), 64u);
+  ASSERT_EQ(tuned.reduce_reports.size(), 16u);
+  for (const auto* reports : {&tuned.map_reports, &tuned.reduce_reports}) {
+    for (const auto& r : *reports) EXPECT_LT(r.start_time, pushes.front());
+  }
+  EXPECT_EQ(spilled_before_push, spill_records.value());
+
+  EXPECT_EQ(tuned.exec_time(), def.exec_time());
+  EXPECT_NEAR(tuned.exec_time(), 123.0, 0.05);
+  EXPECT_EQ(tuned.counters.map.spilled_records,
+            def.counters.map.spilled_records);
+  EXPECT_EQ(tuned.counters.reduce.spilled_records,
+            def.counters.reduce.spilled_records);
+}
+
 // Figure 13 shape: tuning a tiny job yields little; a big one yields a lot.
 TEST(FigureShape, SmallJobsGainLessThanBigJobs) {
   auto improvement = [](double gb) {

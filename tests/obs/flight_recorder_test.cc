@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "mapreduce/simulation.h"
-#include "obs/enabled.h"
 #include "obs/recorder.h"
 #include "tuner/online_tuner.h"
 #include "workloads/benchmarks.h"
@@ -27,7 +26,6 @@ JobSpec small_terasort(Simulation& sim, int blocks = 120) {
                                   std::max(4, blocks / 4));
 }
 
-#if MRON_OBS_ENABLED
 TunerOptions small_options(TuningStrategy strategy) {
   TunerOptions opt;
   opt.strategy = strategy;
@@ -36,7 +34,6 @@ TunerOptions small_options(TuningStrategy strategy) {
   opt.climber.max_global_rounds = 2;
   return opt;
 }
-#endif
 
 TEST(FlightRecorder, OffByDefault) {
   SimulationOptions sopt;
@@ -46,8 +43,6 @@ TEST(FlightRecorder, OffByDefault) {
   const JobResult r = sim.run_job(small_terasort(sim, 16));
   EXPECT_GT(r.exec_time(), 0.0);
 }
-
-#if MRON_OBS_ENABLED
 
 TEST(FlightRecorder, PlainRunPublishesMetricsAndTaskSpans) {
   SimulationOptions sopt;
@@ -191,8 +186,6 @@ TEST(FlightRecorder, AuditLogFiltersByJob) {
   }
   EXPECT_EQ(audit.count(-1, "attach"), 2u);
 }
-
-#endif  // MRON_OBS_ENABLED
 
 }  // namespace
 }  // namespace mron::tuner

@@ -16,17 +16,12 @@
 #include "faults/fault_plan.h"
 #include "mapreduce/report_rollup.h"
 #include "mapreduce/simulation.h"
-#include "obs/enabled.h"
 #include "obs/progress.h"
 #include "sim/engine.h"
 #include "workloads/benchmarks.h"
 
 namespace mron::obs {
 namespace {
-
-// The explicit Frame/Activation objects are always compiled (only the
-// macros and engine hooks vanish under MRON_OBS=OFF), so these tests run
-// in both build modes.
 
 TEST(HostProfiler, FramesAggregateByPathWithNesting) {
   HostProfiler hp;
@@ -185,8 +180,6 @@ TEST(HostProfiler, ExportCarriesMemoryAndMeta) {
   }
 }
 
-#if MRON_OBS_ENABLED
-
 // Events inherit the subsystem category of the scheduling context, and
 // events scheduled from inside a dispatched callback inherit that event's
 // category (the dispatch loop re-establishes it around the callback).
@@ -242,9 +235,7 @@ TEST(HostProfiler, SimulationSplitsSetupFromSteady) {
             std::string::npos);
 }
 
-#endif  // MRON_OBS_ENABLED
-
-// The quarantine contract, in both build modes: attaching the profiler
+// The quarantine contract: attaching the profiler
 // must not change a single byte of the deterministic run report.
 std::string report_with_profiling(bool host_profile,
                                   const std::string& fault_spec) {
